@@ -321,7 +321,9 @@ def _cmd_reproduce(args) -> int:
         )
         print(f"{scenario.name}: worst MC deviation {worst:.2f}σ")
         failed = failed or worst > SUITE_Z
-    report = verify_theorems(trials=args.trials or 100, seed=args.seed or 1)
+    report = verify_theorems(
+        trials=args.trials or 100, seed=1 if args.seed is None else args.seed
+    )
     (outdir / "verification_report.json").write_text(report.to_json())
     print("verification: " + ("all checks pass" if report.all_passed else "FAILURES"))
     return 2 if failed or not report.all_passed else 0

@@ -58,6 +58,9 @@ __all__ = [
 
 MC_LOG_THRESHOLDS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
+# Spawn keys of the per-mode H1 Monte Carlo streams; H0 uses key 0.
+_H1_STREAM_KEYS = {"rss": 1, "drss": 2}
+
 # Deployment-wide constants shared by every published configuration.
 _CLAIMED = (50.0, 5.0)
 _REF_POWER_DB = -10.0
@@ -112,6 +115,8 @@ class Scenario:
     def __post_init__(self):
         if self.min_distance <= 0:
             raise ScenarioError("min_distance must be positive")
+        if self.mc_trials < 1:
+            raise ScenarioError("mc_trials must be at least 1")
         for mode in self.modes:
             if mode not in ("rss", "drss"):
                 raise ScenarioError(f"unknown mode: {mode!r}")
@@ -312,11 +317,18 @@ def run_scenario(
     outdir: str | Path | None = None,
     mc_thresholds=MC_LOG_THRESHOLDS,
 ) -> ScenarioResult:
-    """Full pipeline for one scenario: attack, analytic ROC, MC validation."""
+    """Full pipeline for one scenario: attack, analytic ROC, MC validation.
+
+    The Monte Carlo check draws once per distribution: one H0 set scored by
+    every (mode, ln λ) spec, since RSS and DRSS see the same observations
+    under H0, and one H1 set per mode. Each set's Philox stream is keyed by
+    ``SeedSequence(mc_seed, spawn_key=(k,))`` with k = 0 for H0, 1 for RSS
+    H1 and 2 for DRSS H1, so a mode's records do not depend on which other
+    modes run.
+    """
     geometry = scenario.geometry
     model = scenario.shadowing()
-    mode_results = {}
-    seed_counter = 0
+    analysis = {}
     for mode in scenario.modes:
         strategy = resolve_attack(scenario, mode, model)
         spec = detector_spec(mode, geometry, model, strategy)
@@ -326,19 +338,43 @@ def run_scenario(
             else default_threshold_grid(spec.separation)
         )
         curve = roc_sweep(spec, thresholds)
+        alt_rocs = []
+        for loc in scenario.alt_locations:
+            alt = resolve_attack(
+                replace(scenario, attack=AttackPolicy("fixed-location", tuple(loc))),
+                mode,
+                model,
+            )
+            alt_spec = detector_spec(mode, geometry, model, alt)
+            alt_rocs.append((tuple(loc), roc_sweep(alt_spec, curve.thresholds)))
+        specs = tuple(
+            detector_spec(mode, geometry, model, strategy, log_threshold=lam)
+            for lam in mc_thresholds
+        )
+        analysis[mode] = (strategy, curve, tuple(alt_rocs), specs)
+
+    def plan(hypothesis, key, strategy=None):
+        return TrialPlan(
+            n_trials=scenario.mc_trials,
+            seed=np.random.SeedSequence(scenario.mc_seed, spawn_key=(key,)),
+            hypothesis=hypothesis,
+            strategy=strategy,
+        )
+
+    # H0 rates come back in all_specs order: mode by mode, then by threshold.
+    all_specs = tuple(spec for *_, specs in analysis.values() for spec in specs)
+    h0_rates = iter(estimate_rate(plan("h0", 0), all_specs, geometry, model))
+    mode_results = {}
+    for mode, (strategy, curve, alt_rocs, specs) in analysis.items():
+        h1_plan = plan("h1", _H1_STREAM_KEYS[mode], strategy)
+        h1_rates = estimate_rate(h1_plan, specs, geometry, model)
         records = []
-        for lam in mc_thresholds:
-            spec_t = detector_spec(mode, geometry, model, strategy, log_threshold=lam)
+        for lam, spec_t, h1_emp in zip(mc_thresholds, specs, h1_rates):
             rates = analytic_rates(spec_t)
-            for hyp, analytic in (("h0", rates.alpha), ("h1", rates.beta)):
-                plan = TrialPlan(
-                    n_trials=scenario.mc_trials,
-                    seed=scenario.mc_seed * 100_003 + seed_counter,
-                    hypothesis=hyp,
-                    strategy=strategy if hyp == "h1" else None,
-                )
-                seed_counter += 1
-                emp = estimate_rate(plan, spec_t, geometry, model)
+            for hyp, emp, analytic in (
+                ("h0", next(h0_rates), rates.alpha),
+                ("h1", h1_emp, rates.beta),
+            ):
                 records.append(
                     {
                         "scenario": scenario.name,
@@ -352,21 +388,12 @@ def run_scenario(
                         "sigma": agreement_sigma(emp, analytic),
                     }
                 )
-        alt_rocs = []
-        for loc in scenario.alt_locations:
-            alt = resolve_attack(
-                replace(scenario, attack=AttackPolicy("fixed-location", tuple(loc))),
-                mode,
-                model,
-            )
-            alt_spec = detector_spec(mode, geometry, model, alt)
-            alt_rocs.append((tuple(loc), roc_sweep(alt_spec, curve.thresholds)))
         mode_results[mode] = ModeResult(
             mode=mode,
             strategy=strategy,
             roc=curve,
             mc_records=tuple(records),
-            alt_rocs=tuple(alt_rocs),
+            alt_rocs=alt_rocs,
         )
 
     dc_sweep = ()

@@ -1,12 +1,19 @@
 """Monte Carlo estimation of detector rates and KL divergences.
 
 Serves as the independent empirical check on every closed-form rate.
-Sampling uses a counter-based Philox stream keyed by the plan seed, so a
-given plan reproduces the same counts regardless of scheduling.
+A plan names one distribution of observations (H0, or H1 under one attack
+strategy). ``estimate_rate`` draws one set of observations from it and
+scores every detector spec on that same set: all thresholds, and both
+modes where they share the distribution (common random numbers). Each
+plan samples from a counter-based Philox stream keyed by its seed, an int
+or a ``SeedSequence``; ``run_scenario`` keys each distribution's stream by
+the scenario seed and a per-distribution spawn key, so a plan reproduces
+the same counts regardless of which other plans run.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +46,7 @@ class TrialPlan:
     """Specification of one Monte Carlo run."""
 
     n_trials: int
-    seed: int
+    seed: int | np.random.SeedSequence
     hypothesis: str  # "h0" | "h1"
     strategy: AttackStrategy | None = None
 
@@ -79,19 +86,29 @@ def _rss_mean(plan: TrialPlan, geometry: NetworkGeometry) -> np.ndarray:
 
 def estimate_rate(
     plan: TrialPlan,
-    spec: DetectorSpec,
+    specs: Sequence[DetectorSpec],
     geometry: NetworkGeometry,
     model: ShadowingModel,
-) -> EmpiricalRate:
-    """Fraction of trials on which the detector accepts H1."""
+) -> tuple[EmpiricalRate, ...]:
+    """Fraction of trials on which each detector in ``specs`` accepts H1.
+
+    Draws ``plan.n_trials`` RSS observations once and scores every spec on
+    them; DRSS specs see the differenced observations. Returns one rate
+    per spec, in order, and draws nothing when there is no spec. The draws
+    do not outlive the call.
+    """
+    if not specs:
+        return ()
     mean = _rss_mean(plan, geometry)
     rng = np.random.Generator(np.random.Philox(plan.seed))
     y = sample_observations(model, mean, rng, plan.n_trials)
-    obs = drss_transform(y) if spec.mode == "drss" else y
-    accepts = decide(spec, obs)
-    rate = float(np.mean(accepts))
-    stderr = float(np.sqrt(rate * (1.0 - rate) / plan.n_trials))
-    return EmpiricalRate(rate=rate, stderr=stderr, n_trials=plan.n_trials)
+    d = drss_transform(y) if any(spec.mode == "drss" for spec in specs) else None
+    rates = []
+    for spec in specs:
+        rate = float(np.mean(decide(spec, d if spec.mode == "drss" else y)))
+        stderr = float(np.sqrt(rate * (1.0 - rate) / plan.n_trials))
+        rates.append(EmpiricalRate(rate=rate, stderr=stderr, n_trials=plan.n_trials))
+    return tuple(rates)
 
 
 def estimate_kl(

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lvsim
+from lvsim import cli
 from lvsim.cli import ScenarioFileError, main, parse_scenario_file
 from lvsim.detector import roc_from_csv
 from lvsim.experiments import builtin_scenario
@@ -133,3 +139,44 @@ class TestMain:
         code = main(["attack", "--scenario", str(path)])
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_zero_mc_trials_exits_one(self, tmp_path, capsys):
+        code = main(["mc", "--scenario", "fig3", "--trials", "0", "-o", str(tmp_path)])
+        assert code == 1
+        assert "mc_trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, seed", [([], 1), (["--seed", "0"], 0), (["--seed", "7"], 7)])
+    def test_reproduce_passes_its_seed(self, tmp_path, monkeypatch, argv, seed):
+        from types import SimpleNamespace
+
+        mc_seeds, verify_seeds = [], []
+
+        def fake_run_scenario(scenario, outdir=None):
+            mc_seeds.append(scenario.mc_seed)
+            return SimpleNamespace(modes={})
+
+        def fake_verify_theorems(trials, seed):
+            verify_seeds.append(seed)
+            return SimpleNamespace(all_passed=True, to_json=lambda: "{}\n")
+
+        monkeypatch.setattr(cli, "run_scenario", fake_run_scenario)
+        monkeypatch.setattr(cli, "verify_theorems", fake_verify_theorems)
+        assert main(["reproduce", "-o", str(tmp_path)] + argv) == 0
+        assert verify_seeds == [seed]
+        if argv:
+            assert mc_seeds == [seed] * 6
+        else:
+            assert mc_seeds == [11, 12, 13, 14, 15, 16]
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = str(Path(lvsim.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "lvsim", "verify", "--trials", "1", "-o", str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "verification_report.json").exists()

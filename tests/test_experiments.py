@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +46,10 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(ScenarioError):
             builtin_scenario("fig9")
+
+    def test_zero_mc_trials_rejected(self):
+        with pytest.raises(ScenarioError, match="mc_trials"):
+            replace(builtin_scenario("fig3"), mc_trials=0)
 
     def test_fixed_attack_inside_disc_rejected(self):
         base = builtin_scenario("fig3")
@@ -99,6 +104,27 @@ class TestRunScenario:
         aucs = [auc for _, auc in result.r_sweep]
         assert aucs == sorted(aucs)
         assert len(set(aucs)) == len(aucs)
+
+    def test_one_draw_set_per_distribution(self, monkeypatch):
+        import lvsim.montecarlo
+
+        calls = []
+        draw = lvsim.montecarlo.sample_observations
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(lvsim.montecarlo, "sample_observations", counting)
+        run_scenario(replace(builtin_scenario("fig3"), mc_trials=2000))
+        # one H0 set shared by both modes, one H1 set per mode
+        assert len(calls) == 3
+
+    def test_mode_records_independent_of_other_modes(self):
+        scenario = replace(builtin_scenario("fig3"), mc_trials=2000)
+        both = run_scenario(replace(scenario, modes=("rss", "drss")))
+        alone = run_scenario(replace(scenario, modes=("drss",)))
+        assert alone.modes["drss"].mc_records == both.modes["drss"].mc_records
 
     def test_output_files(self, tmp_path):
         scenario = builtin_scenario("fig3")

@@ -29,7 +29,7 @@ class TestEstimateRate:
         spec = detector_spec("drss", scenario.geometry, model, strategy, log_threshold=1e6)
         for hyp in ("h0", "h1"):
             plan = TrialPlan(5000, seed=1, hypothesis=hyp, strategy=strategy)
-            assert estimate_rate(plan, spec, scenario.geometry, model).rate == 0.0
+            assert estimate_rate(plan, (spec,), scenario.geometry, model)[0].rate == 0.0
 
     def test_h0_matches_analytic_alpha(self, fig2_setup):
         scenario, model, strategy = fig2_setup
@@ -37,7 +37,7 @@ class TestEstimateRate:
 
         spec = detector_spec("drss", scenario.geometry, model, strategy)
         plan = TrialPlan(100_000, seed=2, hypothesis="h0")
-        emp = estimate_rate(plan, spec, scenario.geometry, model)
+        emp = estimate_rate(plan, (spec,), scenario.geometry, model)[0]
         assert abs(emp.rate - analytic_rates(spec).alpha) <= 3 * emp.stderr
 
     def test_h1_matches_analytic_beta(self, fig2_setup):
@@ -46,7 +46,7 @@ class TestEstimateRate:
 
         spec = detector_spec("drss", scenario.geometry, model, strategy)
         plan = TrialPlan(100_000, seed=3, hypothesis="h1", strategy=strategy)
-        emp = estimate_rate(plan, spec, scenario.geometry, model)
+        emp = estimate_rate(plan, (spec,), scenario.geometry, model)[0]
         assert abs(emp.rate - analytic_rates(spec).beta) <= 3 * emp.stderr
 
     def test_h0_rate_is_alpha_not_beta(self, fig2_setup):
@@ -57,7 +57,7 @@ class TestEstimateRate:
         spec = detector_spec("drss", scenario.geometry, model, strategy)
         rates = analytic_rates(spec)
         plan = TrialPlan(100_000, seed=4, hypothesis="h0")
-        emp = estimate_rate(plan, spec, scenario.geometry, model)
+        emp = estimate_rate(plan, (spec,), scenario.geometry, model)[0]
         assert abs(emp.rate - rates.alpha) <= 4 * emp.stderr
         assert abs(emp.rate - rates.beta) > 10 * emp.stderr
 
@@ -65,9 +65,22 @@ class TestEstimateRate:
         scenario, model, strategy = fig2_setup
         spec = detector_spec("drss", scenario.geometry, model, strategy)
         plan = TrialPlan(10_000, seed=5, hypothesis="h1", strategy=strategy)
-        a = estimate_rate(plan, spec, scenario.geometry, model)
-        b = estimate_rate(plan, spec, scenario.geometry, model)
+        a = estimate_rate(plan, (spec,), scenario.geometry, model)[0]
+        b = estimate_rate(plan, (spec,), scenario.geometry, model)[0]
         assert a == b
+
+    def test_many_specs_score_like_single_calls(self, fig2_setup):
+        scenario, model, strategy = fig2_setup
+        specs = tuple(
+            detector_spec(mode, scenario.geometry, model, strategy, log_threshold=lam)
+            for mode in ("rss", "drss")
+            for lam in (-1.0, 0.0, 1.5)
+        )
+        plan = TrialPlan(10_000, seed=6, hypothesis="h0")
+        joint = estimate_rate(plan, specs, scenario.geometry, model)
+        assert len(joint) == len(specs)
+        for spec, emp in zip(specs, joint):
+            assert emp == estimate_rate(plan, (spec,), scenario.geometry, model)[0]
 
     def test_h1_without_strategy_rejected(self):
         with pytest.raises(PlanError):
