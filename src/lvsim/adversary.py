@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .channel import NetworkGeometry, ShadowingModel, mean_vector
-from .detector import build_d_matrix
 
 __all__ = [
     "SearchError",
@@ -67,9 +65,9 @@ class SearchConfig:
     refine_shrink: float = 0.5
 
     def __post_init__(self):
-        if self.min_distance <= 0:
-            raise SearchError("min_distance must be positive")
-        if self.coarse_grid_step <= 0:
+        if not 0.0 < self.min_distance < np.inf:
+            raise SearchError("min_distance must be positive and finite")
+        if not self.coarse_grid_step > 0:
             raise SearchError("coarse_grid_step must be positive")
         if not (0.0 < self.refine_shrink < 1.0):
             raise SearchError("refine_shrink must lie strictly in (0, 1)")
@@ -89,28 +87,19 @@ def default_search_region(geometry: NetworkGeometry, min_distance: float) -> tup
     )
 
 
-def optimal_power_boost(u: np.ndarray, v: np.ndarray, cov: np.ndarray) -> float:
+def _half_sq_norm(z: np.ndarray):
+    """0.5 |z|^2 over the last axis of whitened vectors; a float for one vector."""
+    out = 0.5 * np.einsum("...i,...i->...", z, z)
+    return float(out) if z.ndim == 1 else out
+
+
+def optimal_power_boost(u: np.ndarray, v: np.ndarray, model: ShadowingModel) -> float:
     """Closed-form boost minimizing the RSS KL divergence for a fixed location.
 
-    Returns ((u - v)^T R^-1 1) / (1^T R^-1 1).
+    Returns ((u - v)^T R^-1 1) / (1^T R^-1 1), as (W(u - v)) . (W 1) / |W 1|^2.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    ones = np.ones(u.size)
-    try:
-        sol = np.linalg.solve(np.asarray(cov, dtype=float), np.column_stack([u - v, ones]))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular covariance") from exc
-    return float(ones @ sol[:, 0] / (ones @ sol[:, 1]))
-
-
-def _quad_form(chol_lower: np.ndarray, delta: np.ndarray):
-    """delta^T C^-1 delta for delta of shape (..., N), via the Cholesky factor."""
-    d = np.asarray(delta, dtype=float)
-    flat = d.reshape(-1, d.shape[-1])
-    sol = cho_solve((chol_lower, True), flat.T)
-    out = np.einsum("ij,ji->i", flat, sol)
-    return out.reshape(d.shape[:-1]) if d.ndim > 1 else float(out[0])
+    ones = model.whitener.sum(axis=1)
+    return float((np.asarray(u, dtype=float) - v) @ model.whitener.T @ ones / (ones @ ones))
 
 
 def kl_rss(
@@ -118,50 +107,40 @@ def kl_rss(
 ):
     """KL divergence seen by the RSS detector for boost ``p_x`` at ``x_t``.
 
-    Equals 0.5 (p_x 1 + v - u)^T R^-1 (p_x 1 + v - u); ``x_t`` may be a
-    single point or an array of shape (..., 2).
+    Equals 0.5 |W (p_x 1 + v - u)|^2; ``x_t`` may be a single point or an
+    array of shape (..., 2).
     """
     u = mean_vector(geometry, geometry.claimed_location)
     v = mean_vector(geometry, x_t)
-    return 0.5 * _quad_form(model.chol_lower, p_x + v - u)
+    return _half_sq_norm((p_x + v - u) @ model.whitener.T)
 
 
 def kl_rss_minimized(x_t, geometry: NetworkGeometry, model: ShadowingModel):
     """RSS KL divergence after the attacker applies the optimal power boost.
 
-    Vectorized over ``x_t`` of shape (..., 2).
+    The boost moves W(v - u) along W 1, so the minimum is half the squared
+    residual of W(v - u) after projecting out W 1.  Vectorized over ``x_t``
+    of shape (..., 2).
     """
     u = mean_vector(geometry, geometry.claimed_location)
     v = mean_vector(geometry, x_t)
-    g = v - u
-    n = u.size
-    ones = np.ones(n)
-    rinv_ones = model.solve(ones)
-    a = float(ones @ rinv_ones)
-    flat = g.reshape(-1, n)
-    sol = cho_solve((model.chol_lower, True), flat.T)  # R^-1 g
-    q = np.einsum("ij,ji->i", flat, sol)
-    b = flat @ rinv_ones
-    out = 0.5 * (q - b**2 / a)
-    scalar = np.asarray(x_t, dtype=float).ndim == 1
-    return float(out[0]) if scalar else out.reshape(g.shape[:-1])
+    z = (v - u) @ model.whitener.T
+    ones = model.whitener.sum(axis=1)
+    unit = ones / np.sqrt(ones @ ones)
+    return _half_sq_norm(z - (z @ unit)[..., None] * unit)
 
 
 def kl_drss(x_t, geometry: NetworkGeometry, model: ShadowingModel):
     """KL divergence seen by the DRSS detector; boost-independent.
 
+    Equals 0.5 |W_D delta|^2 for the differenced mean shift delta.
     Vectorized over ``x_t`` of shape (..., 2).
     """
-    d_mat = build_d_matrix(model.covariance)
-    try:
-        d_chol = np.linalg.cholesky(d_mat)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular differenced covariance") from exc
     u = mean_vector(geometry, geometry.claimed_location)
     v = mean_vector(geometry, x_t)
     g = v - u
     delta = g[..., :-1] - g[..., -1:]
-    return 0.5 * _quad_form(d_chol, delta)
+    return _half_sq_norm(delta @ model.d_whitener.T)
 
 
 def refined_grid_cell(config: SearchConfig) -> float:
@@ -243,7 +222,7 @@ def optimize_true_location(
     if objective == "rss":
         u = mean_vector(geometry, geometry.claimed_location)
         v = mean_vector(geometry, incumbent)
-        boost = optimal_power_boost(u, v, model.covariance)
+        boost = optimal_power_boost(u, v, model)
         return AttackStrategy(
             true_location=(float(incumbent[0]), float(incumbent[1])),
             power_boost_db=boost,

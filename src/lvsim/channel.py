@@ -7,10 +7,11 @@ correlation: the covariance between two base stations halves every
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+
+from .detector import build_d_matrix
 
 __all__ = [
     "GeometryError",
@@ -59,6 +60,9 @@ class NetworkGeometry:
             raise GeometryError("bs_positions must be an (N, 2) array")
         if bs.shape[0] < 2:
             raise GeometryError("at least two base stations are required")
+        scalars = (self.ref_power_db, self.ref_distance_m, self.path_loss_exponent)
+        if not (np.isfinite(bs).all() and np.isfinite(xc).all() and np.isfinite(scalars).all()):
+            raise GeometryError("coordinates and path-loss parameters must be finite")
         if self.ref_distance_m <= 0:
             raise GeometryError("reference distance must be positive")
         if self.path_loss_exponent <= 0:
@@ -92,19 +96,23 @@ class ShadowingModel:
 
     ``covariance`` is N x N symmetric positive definite with every diagonal
     entry equal to ``sigma_db ** 2``; ``chol_lower`` is its lower Cholesky
-    factor.  ``diag_jitter`` records any stabilization added to the diagonal
-    (zero in the normal case).
+    factor L; ``whitener`` W = L^-1 turns b^T R^-1 b into |W b|^2, and
+    ``d_whitener`` does the same for the differenced covariance D.
+    ``diag_jitter`` records any stabilization added to the diagonal (zero in
+    the normal case).
     """
 
     sigma_db: float
     correlation_distance: float
     covariance: np.ndarray
     chol_lower: np.ndarray
+    whitener: np.ndarray
+    d_whitener: np.ndarray
     diag_jitter: float = 0.0
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Apply the inverse covariance to ``b`` (columns or a vector)."""
-        return cho_solve((self.chol_lower, True), b)
+        return self.whitener.T @ (self.whitener @ b)
 
 
 def mean_vector(geometry: NetworkGeometry, location) -> np.ndarray:
@@ -131,10 +139,10 @@ def build_covariance(
     ``correlation_distance == 0`` selects the exactly uncorrelated model
     (diagonal covariance) rather than evaluating the degenerate kernel limit.
     """
-    if sigma_db <= 0:
-        raise ValueError("sigma_db must be positive")
-    if correlation_distance < 0:
-        raise ValueError("correlation_distance must be nonnegative")
+    if not 0.0 < sigma_db < np.inf:
+        raise CovarianceError("sigma_db must be positive and finite")
+    if not 0.0 <= correlation_distance < np.inf:
+        raise CovarianceError("correlation_distance must be nonnegative and finite")
     bs = geometry.bs_positions
     n = geometry.n_stations
     var = sigma_db**2
@@ -157,11 +165,17 @@ def build_covariance(
                 "(near-duplicate base stations?)"
             ) from exc
         cov = cov + jitter * np.eye(n)
+    try:
+        d_chol = np.linalg.cholesky(build_d_matrix(cov))
+    except np.linalg.LinAlgError as exc:
+        raise CovarianceError("differenced covariance is not positive definite") from exc
     return ShadowingModel(
         sigma_db=float(sigma_db),
         correlation_distance=float(correlation_distance),
         covariance=cov,
         chol_lower=chol,
+        whitener=np.linalg.inv(chol),
+        d_whitener=np.linalg.inv(d_chol),
         diag_jitter=jitter,
     )
 

@@ -30,6 +30,8 @@ __all__ = ["ScenarioFileError", "parse_scenario_file", "main"]
 
 _VALIDATION_ERRORS = (ScenarioError, GeometryError, CovarianceError, SearchError, ValueError)
 
+_VERIFY_TRIALS = 100  # random geometries of `verify` by default, of `reproduce` always
+
 # Shared defaults applied when a scenario file omits the common keys.
 _DEFAULTS = {
     "claimed": (50.0, 5.0),
@@ -322,7 +324,7 @@ def _cmd_reproduce(args) -> int:
         print(f"{scenario.name}: worst MC deviation {worst:.2f}σ")
         failed = failed or worst > SUITE_Z
     report = verify_theorems(
-        trials=args.trials or 100, seed=1 if args.seed is None else args.seed
+        trials=_VERIFY_TRIALS, seed=1 if args.seed is None else args.seed
     )
     (outdir / "verification_report.json").write_text(report.to_json())
     print("verification: " + ("all checks pass" if report.all_passed else "FAILURES"))
@@ -336,12 +338,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario=True):
-        if scenario:
-            p.add_argument("--scenario", required=True, help="builtin name or scenario file path")
+    def add_common(p):
+        p.add_argument("--scenario", required=True, help="builtin name or scenario file path")
         p.add_argument("-o", "--outdir", default=None, help="output directory (default $LVSIM_OUTDIR)")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--trials", type=int, default=None, help="trial-count override")
 
     p_roc = sub.add_parser("roc", help="analytic ROC curves per mode")
     add_common(p_roc)
@@ -356,10 +355,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="Monte Carlo validation of the analytic rates")
     add_common(p_mc)
+    p_mc.add_argument("--seed", type=int, default=None, help="seed override")
+    p_mc.add_argument("--trials", type=int, default=None, help="trial-count override")
     p_mc.set_defaults(func=_cmd_mc)
 
     p_verify = sub.add_parser("verify", help="run the theorem-verification suite")
-    p_verify.add_argument("--trials", type=int, default=100)
+    p_verify.add_argument("--trials", type=int, default=_VERIFY_TRIALS)
     p_verify.add_argument("--seed", type=int, default=1)
     p_verify.add_argument("-o", "--outdir", default=None)
     p_verify.set_defaults(func=_cmd_verify)
@@ -367,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="run the full scenario registry")
     p_rep.add_argument("-o", "--outdir", default=None)
     p_rep.add_argument("--seed", type=int, default=None)
-    p_rep.add_argument("--trials", type=int, default=None)
+    p_rep.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
     p_rep.set_defaults(func=_cmd_reproduce)
 
     return parser

@@ -8,10 +8,10 @@ Gaussian tail function.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "DetectorError",
@@ -26,6 +26,7 @@ __all__ = [
     "decide",
     "analytic_rates",
     "roc_sweep",
+    "exact_auc",
     "default_threshold_grid",
     "roc_to_csv",
     "roc_from_csv",
@@ -40,25 +41,28 @@ class DegenerateSpecError(DetectorError):
     """The two hypothesis means coincide; the LRT carries no information."""
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def q_function(x):
     """Gaussian upper-tail probability Q(x) = P(Z > x) for standard normal Z."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    return 0.5 * np.asarray(_erfc(np.asarray(x, dtype=float) / np.sqrt(2.0)), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
 class DetectorSpec:
-    """One configured detector: mode, hypothesis means, covariance, threshold.
+    """One configured detector: mode, hypothesis means and covariance.
 
     ``mode`` is "rss" (N-dimensional observations, covariance R) or "drss"
-    ((N-1)-dimensional differenced observations, covariance D).
-    ``log_threshold`` is the log of the likelihood-ratio threshold.
+    ((N-1)-dimensional differenced observations, covariance D).  The
+    likelihood-ratio threshold is not part of the spec: every function that
+    needs one takes its log, ln λ, as an argument.
     """
 
     mode: str
     mu0: np.ndarray
     mu1: np.ndarray
     cov: np.ndarray
-    log_threshold: float = 0.0
 
     def __post_init__(self):
         if self.mode not in ("rss", "drss"):
@@ -90,10 +94,9 @@ class DetectorSpec:
         """Squared Mahalanobis distance between the hypothesis means."""
         return self._separation
 
-    @property
-    def statistic_threshold(self) -> float:
-        """Threshold on the linear statistic equivalent to log_threshold."""
-        return float(self.log_threshold + 0.5 * self._direction @ (self.mu1 + self.mu0))
+    def statistic_threshold(self, log_threshold=0.0):
+        """Threshold on the linear statistic equivalent to ln λ (or an array)."""
+        return log_threshold + 0.5 * self._direction @ (self.mu1 + self.mu0)
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,7 @@ class RocCurve:
 
     thresholds: tuple  # ln(lambda), descending
     points: tuple  # RatePair, alpha ascending
-    auc: float
+    auc: float  # exact: Φ(√(s/2))
     separation: float
 
 
@@ -146,22 +149,36 @@ def test_statistic(spec: DetectorSpec, obs: np.ndarray):
     return obs @ spec._direction
 
 
-def decide(spec: DetectorSpec, obs: np.ndarray):
+def decide(spec: DetectorSpec, obs: np.ndarray, log_threshold=0.0):
     """True where the detector accepts H1 (flags the user as malicious).
 
-    Equality with the threshold decides H1.
+    Equality with the threshold decides H1.  The statistic is computed once;
+    an array of k thresholds gives decisions of shape (..., k).
     """
-    return test_statistic(spec, obs) >= spec.statistic_threshold
+    return np.greater_equal.outer(
+        test_statistic(spec, obs), spec.statistic_threshold(np.asarray(log_threshold))
+    )
 
 
-def analytic_rates(spec: DetectorSpec, log_threshold: float | None = None) -> RatePair:
-    """Closed-form false-positive and detection rates of the detector."""
-    lam = spec.log_threshold if log_threshold is None else log_threshold
+def analytic_rates(spec: DetectorSpec, log_threshold=0.0):
+    """Closed-form false-positive and detection rates of the detector.
+
+    A scalar ln λ gives one ``RatePair``; a 1-D array gives, in one pass, a
+    tuple of them equal to the scalar calls.
+    """
+    lam = np.asarray(log_threshold, dtype=float)
     s = spec.separation
     rt = np.sqrt(s)
-    alpha = float(q_function((lam + 0.5 * s) / rt))
-    beta = float(q_function((lam - 0.5 * s) / rt))
-    return RatePair(alpha=alpha, beta=beta)
+    alpha = q_function((lam + 0.5 * s) / rt)
+    beta = q_function((lam - 0.5 * s) / rt)
+    if lam.ndim == 0:
+        return RatePair(alpha=float(alpha), beta=float(beta))
+    return tuple(map(RatePair, alpha.tolist(), beta.tolist()))
+
+
+def exact_auc(separation: float) -> float:
+    """ROC area of the equal-covariance Gaussian LRT: Φ(√(s/2))."""
+    return float(q_function(-math.sqrt(0.5 * separation)))
 
 
 def default_threshold_grid(separation: float, n: int = 201) -> np.ndarray:
@@ -171,20 +188,14 @@ def default_threshold_grid(separation: float, n: int = 201) -> np.ndarray:
 
 
 def roc_sweep(spec: DetectorSpec, thresholds) -> RocCurve:
-    """Sweep the threshold, returning operating points and trapezoidal AUC."""
+    """Operating points at every threshold, and the exact AUC."""
     thr = np.sort(np.asarray(thresholds, dtype=float))[::-1]
     if thr.size < 2:
         raise DetectorError("need at least two thresholds")
-    points = tuple(analytic_rates(spec, t) for t in thr)
-    alphas = np.array([pt.alpha for pt in points])
-    betas = np.array([pt.beta for pt in points])
-    a = np.concatenate(([0.0], alphas, [1.0]))
-    b = np.concatenate(([0.0], betas, [1.0]))
-    auc = float(np.trapezoid(b, a))
     return RocCurve(
-        thresholds=tuple(float(t) for t in thr),
-        points=points,
-        auc=auc,
+        thresholds=tuple(thr.tolist()),
+        points=analytic_rates(spec, thr),
+        auc=exact_auc(spec.separation),
         separation=spec.separation,
     )
 

@@ -32,7 +32,7 @@ from .detector import (
     build_d_matrix,
     default_threshold_grid,
     drss_transform,
-    q_function,
+    exact_auc,
     roc_sweep,
     roc_to_csv,
 )
@@ -113,8 +113,8 @@ class Scenario:
     alt_locations: tuple = ()
 
     def __post_init__(self):
-        if self.min_distance <= 0:
-            raise ScenarioError("min_distance must be positive")
+        if not 0.0 < self.min_distance < math.inf:
+            raise ScenarioError("min_distance must be positive and finite")
         if self.mc_trials < 1:
             raise ScenarioError("mc_trials must be at least 1")
         for mode in self.modes:
@@ -241,7 +241,7 @@ def resolve_attack(
     if policy.kind == "fixed-location":
         u = mean_vector(geometry, geometry.claimed_location)
         v = mean_vector(geometry, x_t)
-        boost = optimal_power_boost(u, v, model.covariance)
+        boost = optimal_power_boost(u, v, model)
     else:
         boost = float(policy.power_boost_db)
     return AttackStrategy(
@@ -257,20 +257,17 @@ def detector_spec(
     geometry: NetworkGeometry,
     model: ShadowingModel,
     strategy: AttackStrategy,
-    log_threshold: float = 0.0,
 ) -> DetectorSpec:
     """Detector specification matching a given attack strategy."""
     u = mean_vector(geometry, geometry.claimed_location)
     v = strategy.power_boost_db + mean_vector(geometry, strategy.true_location)
     if mode == "rss":
-        return DetectorSpec(mode="rss", mu0=u, mu1=v, cov=model.covariance,
-                            log_threshold=log_threshold)
+        return DetectorSpec(mode="rss", mu0=u, mu1=v, cov=model.covariance)
     return DetectorSpec(
         mode="drss",
         mu0=drss_transform(u),
         mu1=drss_transform(v),
         cov=build_d_matrix(model.covariance),
-        log_threshold=log_threshold,
     )
 
 
@@ -280,7 +277,7 @@ def optimal_auc(
     correlation_distance: float | None = None,
     min_distance: float | None = None,
 ):
-    """ROC area under a re-optimized attack; returns (auc, strategy, spec).
+    """Exact ROC area under a re-optimized attack; returns (auc, strategy, spec).
 
     Optionally overrides the correlation distance or the exclusion radius
     (re-deriving the search region for the latter).
@@ -291,8 +288,7 @@ def optimal_auc(
         cfg = replace(cfg, min_distance=min_distance, region=None)
     strategy = optimize_true_location(mode, cfg, scenario.geometry, model)
     spec = detector_spec(mode, scenario.geometry, model, strategy)
-    curve = roc_sweep(spec, default_threshold_grid(spec.separation))
-    return curve.auc, strategy, spec
+    return exact_auc(spec.separation), strategy, spec
 
 
 @dataclass(frozen=True)
@@ -320,11 +316,11 @@ def run_scenario(
     """Full pipeline for one scenario: attack, analytic ROC, MC validation.
 
     The Monte Carlo check draws once per distribution: one H0 set scored by
-    every (mode, ln λ) spec, since RSS and DRSS see the same observations
-    under H0, and one H1 set per mode. Each set's Philox stream is keyed by
-    ``SeedSequence(mc_seed, spawn_key=(k,))`` with k = 0 for H0, 1 for RSS
-    H1 and 2 for DRSS H1, so a mode's records do not depend on which other
-    modes run.
+    each mode's spec at every ln λ, since RSS and DRSS see the same
+    observations under H0, and one H1 set per mode. Each set's Philox
+    stream is keyed by ``SeedSequence(mc_seed, spawn_key=(k,))`` with k = 0
+    for H0, 1 for RSS H1 and 2 for DRSS H1, so a mode's records do not
+    depend on which other modes run.
     """
     geometry = scenario.geometry
     model = scenario.shadowing()
@@ -347,11 +343,7 @@ def run_scenario(
             )
             alt_spec = detector_spec(mode, geometry, model, alt)
             alt_rocs.append((tuple(loc), roc_sweep(alt_spec, curve.thresholds)))
-        specs = tuple(
-            detector_spec(mode, geometry, model, strategy, log_threshold=lam)
-            for lam in mc_thresholds
-        )
-        analysis[mode] = (strategy, curve, tuple(alt_rocs), specs)
+        analysis[mode] = (strategy, curve, tuple(alt_rocs), spec)
 
     def plan(hypothesis, key, strategy=None):
         return TrialPlan(
@@ -361,16 +353,17 @@ def run_scenario(
             strategy=strategy,
         )
 
-    # H0 rates come back in all_specs order: mode by mode, then by threshold.
-    all_specs = tuple(spec for *_, specs in analysis.values() for spec in specs)
-    h0_rates = iter(estimate_rate(plan("h0", 0), all_specs, geometry, model))
+    # H0 rates come back mode by mode, then by threshold.
+    all_specs = tuple(spec for *_, spec in analysis.values())
+    h0_rates = iter(estimate_rate(plan("h0", 0), all_specs, geometry, model, mc_thresholds))
     mode_results = {}
-    for mode, (strategy, curve, alt_rocs, specs) in analysis.items():
+    for mode, (strategy, curve, alt_rocs, spec) in analysis.items():
         h1_plan = plan("h1", _H1_STREAM_KEYS[mode], strategy)
-        h1_rates = estimate_rate(h1_plan, specs, geometry, model)
+        h1_rates = estimate_rate(h1_plan, (spec,), geometry, model, mc_thresholds)
         records = []
-        for lam, spec_t, h1_emp in zip(mc_thresholds, specs, h1_rates):
-            rates = analytic_rates(spec_t)
+        for lam, rates, h1_emp in zip(
+            mc_thresholds, analytic_rates(spec, mc_thresholds), h1_rates
+        ):
             for hyp, emp, analytic in (
                 ("h0", next(h0_rates), rates.alpha),
                 ("h1", h1_emp, rates.beta),
@@ -532,7 +525,7 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
         model = build_covariance(geometry, sigma, dc)
         u = mean_vector(geometry, geometry.claimed_location)
         v = mean_vector(geometry, x_t)
-        boost = optimal_power_boost(u, v, model.covariance)
+        boost = optimal_power_boost(u, v, model)
 
         # Boost-minimized RSS KL equals the DRSS KL for every geometry.
         lhs = kl_rss_minimized(x_t, geometry, model)
@@ -541,17 +534,19 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
 
         # With a suboptimal boost, the RSS separation strictly exceeds DRSS.
         strat = AttackStrategy(tuple(x_t), boost, lhs)
-        drss_s = detector_spec("drss", geometry, model, strat).separation
+        drss_spec = detector_spec("drss", geometry, model, strat)
         for db in (1.0, 3.0, 10.0):
             for sign in (1.0, -1.0):
                 perturbed = AttackStrategy(tuple(x_t), boost + sign * db, 0.0)
                 rss_s = detector_spec("rss", geometry, model, perturbed).separation
-                dominance_margin = min(dominance_margin, rss_s - drss_s)
+                dominance_margin = min(dominance_margin, rss_s - drss_spec.separation)
 
         # Matched-boost RSS and DRSS operating points coincide.
-        for lam in MC_LOG_THRESHOLDS:
-            pr = analytic_rates(detector_spec("rss", geometry, model, strat, lam))
-            pd = analytic_rates(detector_spec("drss", geometry, model, strat, lam))
+        rss_spec = detector_spec("rss", geometry, model, strat)
+        for pr, pd in zip(
+            analytic_rates(rss_spec, MC_LOG_THRESHOLDS),
+            analytic_rates(drss_spec, MC_LOG_THRESHOLDS),
+        ):
             rate_identity = max(
                 rate_identity, abs(pr.alpha - pd.alpha), abs(pr.beta - pd.beta)
             )

@@ -3,12 +3,13 @@
 Serves as the independent empirical check on every closed-form rate.
 A plan names one distribution of observations (H0, or H1 under one attack
 strategy). ``estimate_rate`` draws one set of observations from it and
-scores every detector spec on that same set: all thresholds, and both
-modes where they share the distribution (common random numbers). Each
-plan samples from a counter-based Philox stream keyed by its seed, an int
-or a ``SeedSequence``; ``run_scenario`` keys each distribution's stream by
-the scenario seed and a per-distribution spawn key, so a plan reproduces
-the same counts regardless of which other plans run.
+scores every detector spec on that same set: all thresholds from one
+statistic per spec, and both modes where they share the distribution
+(common random numbers). Each plan samples from a counter-based Philox
+stream keyed by its seed, an int or a ``SeedSequence``; ``run_scenario``
+keys each distribution's stream by the scenario seed and a
+per-distribution spawn key, so a plan reproduces the same counts
+regardless of which other plans run.
 """
 
 from __future__ import annotations
@@ -89,13 +90,15 @@ def estimate_rate(
     specs: Sequence[DetectorSpec],
     geometry: NetworkGeometry,
     model: ShadowingModel,
+    log_thresholds: Sequence[float] = (0.0,),
 ) -> tuple[EmpiricalRate, ...]:
-    """Fraction of trials on which each detector in ``specs`` accepts H1.
+    """Fraction of trials on which each spec accepts H1 at each ln λ.
 
     Draws ``plan.n_trials`` RSS observations once and scores every spec on
-    them; DRSS specs see the differenced observations. Returns one rate
-    per spec, in order, and draws nothing when there is no spec. The draws
-    do not outlive the call.
+    them, one statistic per spec for all thresholds; DRSS specs see the
+    differenced observations. Returns one rate per (spec, threshold), spec
+    by spec, and draws nothing when there is no spec. The draws do not
+    outlive the call.
     """
     if not specs:
         return ()
@@ -105,9 +108,10 @@ def estimate_rate(
     d = drss_transform(y) if any(spec.mode == "drss" for spec in specs) else None
     rates = []
     for spec in specs:
-        rate = float(np.mean(decide(spec, d if spec.mode == "drss" else y)))
-        stderr = float(np.sqrt(rate * (1.0 - rate) / plan.n_trials))
-        rates.append(EmpiricalRate(rate=rate, stderr=stderr, n_trials=plan.n_trials))
+        accepted = decide(spec, d if spec.mode == "drss" else y, log_thresholds)
+        for rate in (np.count_nonzero(accepted, axis=0) / plan.n_trials).tolist():
+            stderr = float(np.sqrt(rate * (1.0 - rate) / plan.n_trials))
+            rates.append(EmpiricalRate(rate=rate, stderr=stderr, n_trials=plan.n_trials))
     return tuple(rates)
 
 
@@ -131,9 +135,9 @@ def estimate_kl(
     rng = np.random.Generator(np.random.Philox(seed))
     y = sample_observations(model, u, rng, n_samples)
     # log ratio of two same-covariance Gaussians: quadratic terms only
-    d0 = model.solve((y - u).T)
-    d1 = model.solve((y - m1).T)
-    ratio = 0.5 * (np.einsum("ij,ji->i", y - m1, d1) - np.einsum("ij,ji->i", y - u, d0))
+    z0 = (y - u) @ model.whitener.T
+    z1 = (y - m1) @ model.whitener.T
+    ratio = 0.5 * (np.einsum("ij,ij->i", z1, z1) - np.einsum("ij,ij->i", z0, z0))
     value = float(np.mean(ratio))
     stderr = float(np.std(ratio, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else float("inf")
     return KlEstimate(value=value, stderr=stderr, n_samples=n_samples)

@@ -67,13 +67,15 @@ def test_criterion_2_matched_boost_equivalence():
         worst_kl = max(worst_kl, abs(lhs - rhs) / abs(rhs))
         u = mean_vector(geometry, CLAIMED)
         v = mean_vector(geometry, x_t)
-        boost = optimal_power_boost(u, v, model.covariance)
+        boost = optimal_power_boost(u, v, model)
         from lvsim.adversary import AttackStrategy
 
         strat = AttackStrategy(tuple(x_t), boost, lhs)
+        rss_spec = detector_spec("rss", geometry, model, strat)
+        drss_spec = detector_spec("drss", geometry, model, strat)
         for lam in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            pr = analytic_rates(detector_spec("rss", geometry, model, strat, lam))
-            pd = analytic_rates(detector_spec("drss", geometry, model, strat, lam))
+            pr = analytic_rates(rss_spec, lam)
+            pd = analytic_rates(drss_spec, lam)
             worst_rate = max(worst_rate, abs(pr.alpha - pd.alpha), abs(pr.beta - pd.beta))
     ok = worst_kl < 1e-9 and worst_rate < 1e-9
     report(
@@ -91,7 +93,7 @@ def test_criterion_3_suboptimal_boost_dominance():
         geometry, model, x_t = random_setup(rng)
         u = mean_vector(geometry, CLAIMED)
         v = mean_vector(geometry, x_t)
-        boost = optimal_power_boost(u, v, model.covariance)
+        boost = optimal_power_boost(u, v, model)
         from lvsim.adversary import AttackStrategy
 
         drss_s = detector_spec(
@@ -137,7 +139,7 @@ def test_criterion_5_closed_form_boost_vs_numerical():
         geometry, model, x_t = random_setup(rng)
         u = mean_vector(geometry, CLAIMED)
         v = mean_vector(geometry, x_t)
-        closed = optimal_power_boost(u, v, model.covariance)
+        closed = optimal_power_boost(u, v, model)
         res = minimize_scalar(
             lambda p: kl_rss(p, x_t, geometry, model),
             bounds=(closed - 50.0, closed + 50.0),

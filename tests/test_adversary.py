@@ -34,27 +34,28 @@ def boost_oracle(x_t, geometry, model):
 class TestOptimalPowerBoost:
     def test_zero_when_location_matches_claim(self, fig1_geometry, fig1_model):
         u = mean_vector(fig1_geometry, CLAIMED)
-        assert optimal_power_boost(u, u, fig1_model.covariance) == 0.0
+        assert optimal_power_boost(u, u, fig1_model) == 0.0
 
     def test_uncorrelated_case_is_arithmetic_mean(self, fig1_geometry):
         model = build_covariance(fig1_geometry, 7.5, 0.0)
         u = mean_vector(fig1_geometry, CLAIMED)
         v = mean_vector(fig1_geometry, [600.0, 5.0])
-        got = optimal_power_boost(u, v, model.covariance)
+        got = optimal_power_boost(u, v, model)
         assert got == pytest.approx(np.mean(u - v), rel=1e-12)
 
     def test_matches_numerical_minimization(self, fig1_geometry, fig1_model):
         x_t = [550.0, 5.0]  # on the exclusion circle
         u = mean_vector(fig1_geometry, CLAIMED)
         v = mean_vector(fig1_geometry, x_t)
-        closed = optimal_power_boost(u, v, fig1_model.covariance)
+        closed = optimal_power_boost(u, v, fig1_model)
         assert closed == pytest.approx(boost_oracle(x_t, fig1_geometry, fig1_model), abs=1e-6)
 
     def test_singular_covariance_raises(self, fig1_geometry):
         u = mean_vector(fig1_geometry, CLAIMED)
         v = mean_vector(fig1_geometry, [600.0, 5.0])
+        # infinite correlation distance gives the rank-1 covariance sigma^2 11^T
         with pytest.raises(ValueError):
-            optimal_power_boost(u, v, np.ones((3, 3)))
+            optimal_power_boost(u, v, build_covariance(fig1_geometry, 7.5, math.inf))
 
 
 class TestKlRss:
@@ -72,7 +73,7 @@ class TestKlRss:
         x_t = [550.0, 5.0]
         u = mean_vector(fig1_geometry, CLAIMED)
         v = mean_vector(fig1_geometry, x_t)
-        opt = optimal_power_boost(u, v, fig1_model.covariance)
+        opt = optimal_power_boost(u, v, fig1_model)
         grid = opt + np.linspace(-10, 10, 41)
         phi = np.array([kl_rss(p, x_t, fig1_geometry, fig1_model) for p in grid])
         assert np.all(np.diff(phi, 2) >= -1e-9)
@@ -87,7 +88,7 @@ class TestMinimizedKl:
             geometry, model, x_t = random_setup(rng)
             u = mean_vector(geometry, CLAIMED)
             v = mean_vector(geometry, x_t)
-            boost = optimal_power_boost(u, v, model.covariance)
+            boost = optimal_power_boost(u, v, model)
             direct = kl_rss(boost, x_t, geometry, model)
             closed = kl_rss_minimized(x_t, geometry, model)
             assert closed == pytest.approx(direct, rel=1e-12)
@@ -179,3 +180,12 @@ class TestLocationSearch:
             SearchConfig(min_distance=1.0, coarse_grid_step=0.0)
         with pytest.raises(SearchError):
             SearchConfig(min_distance=1.0, refine_shrink=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_min_distance_rejected(self, bad):
+        with pytest.raises(SearchError, match="min_distance"):
+            SearchConfig(min_distance=bad)
+
+    def test_nan_grid_step_rejected(self):
+        with pytest.raises(SearchError, match="coarse_grid_step"):
+            SearchConfig(min_distance=1.0, coarse_grid_step=math.nan)

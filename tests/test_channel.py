@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from lvsim.channel import (
+    CovarianceError,
     GeometryError,
     build_covariance,
     mean_vector,
     sample_observation,
     sample_observations,
 )
+
+from lvsim.detector import build_d_matrix
 
 from conftest import FIG1_BS, CLAIMED, make_geometry
 
@@ -74,6 +77,20 @@ class TestGeometryValidation:
         with pytest.raises(GeometryError):
             make_geometry([[0.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_station_rejected(self, bad):
+        with pytest.raises(GeometryError, match="finite"):
+            make_geometry([[0.0, 0.0], [bad, 1.0], [5.0, 5.0]], claimed=[2.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_claim_rejected(self, bad):
+        with pytest.raises(GeometryError, match="finite"):
+            make_geometry(FIG1_BS, claimed=[50.0, bad])
+
+    def test_non_finite_path_loss_rejected(self):
+        with pytest.raises(GeometryError, match="finite"):
+            make_geometry(FIG1_BS, gamma=math.nan)
+
 
 class TestCovariance:
     def test_halving_at_correlation_distance(self):
@@ -123,6 +140,27 @@ class TestCovariance:
             build_covariance(fig1_geometry, 0.0, 50.0)
         with pytest.raises(ValueError):
             build_covariance(fig1_geometry, 5.0, -1.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, fig1_geometry, sigma):
+        with pytest.raises(CovarianceError, match="sigma_db"):
+            build_covariance(fig1_geometry, sigma, 50.0)
+
+    def test_nan_correlation_distance_rejected(self, fig1_geometry):
+        with pytest.raises(CovarianceError, match="correlation_distance"):
+            build_covariance(fig1_geometry, 7.5, math.nan)
+
+    def test_infinite_correlation_distance_rejected(self, fig1_geometry):
+        # the kernel limit is the singular rank-1 matrix sigma^2 11^T; it must
+        # not be rescued by diagonal jitter
+        with pytest.raises(CovarianceError, match="correlation_distance"):
+            build_covariance(fig1_geometry, 7.5, math.inf)
+
+    def test_whiteners_stored_once(self, fig1_model):
+        w, wd = fig1_model.whitener, fig1_model.d_whitener
+        np.testing.assert_allclose(w @ fig1_model.covariance @ w.T, np.eye(3), atol=1e-12)
+        d = build_d_matrix(fig1_model.covariance)
+        np.testing.assert_allclose(wd @ d @ wd.T, np.eye(2), atol=1e-12)
 
 
 class TestSampling:

@@ -168,6 +168,33 @@ class TestMain:
         else:
             assert mc_seeds == [11, 12, 13, 14, 15, 16]
 
+    def test_reproduce_trials_sets_only_monte_carlo_trials(self, tmp_path, monkeypatch):
+        from types import SimpleNamespace
+
+        mc_trials, verify_trials = [], []
+
+        def fake_run_scenario(scenario, outdir=None):
+            mc_trials.append(scenario.mc_trials)
+            return SimpleNamespace(modes={})
+
+        def fake_verify_theorems(trials, seed):
+            verify_trials.append(trials)
+            return SimpleNamespace(all_passed=True, to_json=lambda: "{}\n")
+
+        monkeypatch.setattr(cli, "run_scenario", fake_run_scenario)
+        monkeypatch.setattr(cli, "verify_theorems", fake_verify_theorems)
+        assert main(["reproduce", "-o", str(tmp_path), "--trials", "20000"]) == 0
+        assert mc_trials == [20000] * 6
+        assert verify_trials == [100]
+
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    def test_roc_rejects_monte_carlo_flags(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["roc", "--scenario", "fig3", "-o", str(tmp_path), flag, "5"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "fig3").exists()
+
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         src = str(Path(lvsim.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")

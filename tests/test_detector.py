@@ -24,13 +24,13 @@ from lvsim.detector import test_statistic as linear_statistic
 from conftest import CLAIMED
 
 
-def make_spec(cov, mu0=None, mu1=None, log_threshold=0.0, mode="rss"):
+def make_spec(cov, mu0=None, mu1=None, mode="rss"):
     n = cov.shape[0]
     if mu0 is None:
         mu0 = np.zeros(n)
     if mu1 is None:
         mu1 = np.arange(1.0, n + 1.0)
-    return DetectorSpec(mode=mode, mu0=mu0, mu1=mu1, cov=cov, log_threshold=log_threshold)
+    return DetectorSpec(mode=mode, mu0=mu0, mu1=mu1, cov=cov)
 
 
 class TestDrssTransform:
@@ -112,9 +112,9 @@ class TestDecide:
         e1 = np.array([1.0, 0.0, 0.0])
         spec = make_spec(np.eye(3), mu1=e1)
         # direction e1, threshold 0.5 and y = 0.5 * e1 are dyadic, so y @ c == t exactly
-        y = spec.statistic_threshold * e1
-        assert linear_statistic(spec, y) == spec.statistic_threshold
-        assert decide(spec, y)
+        y = spec.statistic_threshold(0.0) * e1
+        assert linear_statistic(spec, y) == spec.statistic_threshold(0.0)
+        assert decide(spec, y, 0.0)
 
     def test_vectorized(self, fig1_model):
         spec = make_spec(fig1_model.covariance)
@@ -138,7 +138,7 @@ class TestSpecValidation:
 
 class TestAnalyticRates:
     def test_unit_threshold_symmetry(self, fig1_model):
-        pair = analytic_rates(make_spec(fig1_model.covariance, log_threshold=0.0))
+        pair = analytic_rates(make_spec(fig1_model.covariance), 0.0)
         assert pair.beta == pytest.approx(1.0 - pair.alpha, abs=1e-14)
 
     def test_threshold_limits(self, fig1_model):

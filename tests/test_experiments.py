@@ -51,6 +51,11 @@ class TestRegistry:
         with pytest.raises(ScenarioError, match="mc_trials"):
             replace(builtin_scenario("fig3"), mc_trials=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_min_distance_rejected(self, bad):
+        with pytest.raises(ScenarioError, match="min_distance"):
+            replace(builtin_scenario("fig3"), min_distance=bad)
+
     def test_fixed_attack_inside_disc_rejected(self):
         base = builtin_scenario("fig3")
         with pytest.raises(ScenarioError):

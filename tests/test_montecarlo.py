@@ -26,10 +26,10 @@ def fig2_setup():
 class TestEstimateRate:
     def test_huge_threshold_rejects_everything(self, fig2_setup):
         scenario, model, strategy = fig2_setup
-        spec = detector_spec("drss", scenario.geometry, model, strategy, log_threshold=1e6)
+        spec = detector_spec("drss", scenario.geometry, model, strategy)
         for hyp in ("h0", "h1"):
             plan = TrialPlan(5000, seed=1, hypothesis=hyp, strategy=strategy)
-            assert estimate_rate(plan, (spec,), scenario.geometry, model)[0].rate == 0.0
+            assert estimate_rate(plan, (spec,), scenario.geometry, model, (1e6,))[0].rate == 0.0
 
     def test_h0_matches_analytic_alpha(self, fig2_setup):
         scenario, model, strategy = fig2_setup
@@ -71,16 +71,16 @@ class TestEstimateRate:
 
     def test_many_specs_score_like_single_calls(self, fig2_setup):
         scenario, model, strategy = fig2_setup
+        lams = (-1.0, 0.0, 1.5)
         specs = tuple(
-            detector_spec(mode, scenario.geometry, model, strategy, log_threshold=lam)
-            for mode in ("rss", "drss")
-            for lam in (-1.0, 0.0, 1.5)
+            detector_spec(mode, scenario.geometry, model, strategy) for mode in ("rss", "drss")
         )
+        pairs = [(spec, lam) for spec in specs for lam in lams]
         plan = TrialPlan(10_000, seed=6, hypothesis="h0")
-        joint = estimate_rate(plan, specs, scenario.geometry, model)
-        assert len(joint) == len(specs)
-        for spec, emp in zip(specs, joint):
-            assert emp == estimate_rate(plan, (spec,), scenario.geometry, model)[0]
+        joint = estimate_rate(plan, specs, scenario.geometry, model, lams)
+        assert len(joint) == len(pairs)
+        for (spec, lam), emp in zip(pairs, joint):
+            assert emp == estimate_rate(plan, (spec,), scenario.geometry, model, (lam,))[0]
 
     def test_h1_without_strategy_rejected(self):
         with pytest.raises(PlanError):
