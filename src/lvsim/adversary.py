@@ -8,6 +8,7 @@ subject to the minimum-distance constraint).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
 
 _LOCAL_GRID = 9  # points per axis in each refinement pass
 _TIE_EPS = 1e-12
+_MAX_GRID_POINTS = 1_000_000  # coarse-grid cap, checked before allocation
 
 
 class SearchError(ValueError):
@@ -67,12 +69,23 @@ class SearchConfig:
     def __post_init__(self):
         if not 0.0 < self.min_distance < np.inf:
             raise SearchError("min_distance must be positive and finite")
-        if not self.coarse_grid_step > 0:
-            raise SearchError("coarse_grid_step must be positive")
+        if not 0.0 < self.coarse_grid_step < np.inf:
+            raise SearchError("coarse_grid_step must be positive and finite")
         if not (0.0 < self.refine_shrink < 1.0):
             raise SearchError("refine_shrink must lie strictly in (0, 1)")
-        if self.refine_iterations < 0:
-            raise SearchError("refine_iterations must be nonnegative")
+        iterations = self.refine_iterations
+        if not (isinstance(iterations, (int, np.integer)) and iterations >= 0):
+            raise SearchError("refine_iterations must be a nonnegative integer")
+        if self.region is not None:
+            try:
+                xmin, xmax, ymin, ymax = (float(v) for v in self.region)
+            except (TypeError, ValueError) as exc:
+                raise SearchError("region must be four numbers (xmin, xmax, ymin, ymax)") from exc
+            if not all(map(math.isfinite, (xmin, xmax, ymin, ymax))):
+                raise SearchError("region bounds must be finite")
+            if not (xmin <= xmax and ymin <= ymax):
+                raise SearchError("region must satisfy xmin <= xmax and ymin <= ymax")
+            _coarse_shape((xmin, xmax, ymin, ymax), self.coarse_grid_step)
 
 
 def default_search_region(geometry: NetworkGeometry, min_distance: float) -> tuple:
@@ -85,6 +98,25 @@ def default_search_region(geometry: NetworkGeometry, min_distance: float) -> tup
         float(bs[:, 1].min() - pad),
         float(bs[:, 1].max() + pad),
     )
+
+
+def _coarse_shape(region, step: float) -> tuple:
+    """(nx, ny) of the coarse grid, computed before anything is allocated.
+
+    Uses ``np.arange``'s length, ceil((stop - start) / step), and raises
+    SearchError when nx * ny exceeds the point cap.
+    """
+    xmin, xmax, ymin, ymax = region
+    nx, ny = (
+        math.ceil(n) if math.isfinite(n) else math.inf
+        for n in ((xmax + 0.5 * step - xmin) / step, (ymax + 0.5 * step - ymin) / step)
+    )
+    if nx * ny > _MAX_GRID_POINTS:
+        raise SearchError(
+            f"coarse grid would hold {nx * ny:,} points, above the cap of "
+            f"{_MAX_GRID_POINTS:,}; raise coarse_grid_step or shrink the region"
+        )
+    return nx, ny
 
 
 def _half_sq_norm(z: np.ndarray):
@@ -181,42 +213,49 @@ def optimize_true_location(
     else:
         raise SearchError(f"unknown objective: {objective!r}")
 
-    xmin, xmax, ymin, ymax = (
+    region = (
         config.region
         if config.region is not None
         else default_search_region(geometry, config.min_distance)
     )
+    nx, ny = _coarse_shape(region, config.coarse_grid_step)
+    xmin, xmax, ymin, ymax = region
+    lo, hi = np.array([xmin, ymin], dtype=float), np.array([xmax, ymax], dtype=float)
     xc = geometry.claimed_location
+    bs = geometry.bs_positions
     r = config.min_distance
 
     def feasible(pts):
-        ok = np.linalg.norm(pts - xc, axis=-1) >= r
-        # grid points exactly on a base station have undefined path loss
-        for b in geometry.bs_positions:
-            ok &= np.linalg.norm(pts - b, axis=-1) > 0.0
-        return ok
+        # outside the open disc, and not exactly on a base station (undefined
+        # path loss); sqrt(dx*dx + dy*dy) is bit-identical to np.linalg.norm
+        x, y = pts[:, 0], pts[:, 1]
+        dx, dy = x - xc[0], y - xc[1]
+        ex, ey = x[:, None] - bs[:, 0], y[:, None] - bs[:, 1]
+        return (np.sqrt(dx * dx + dy * dy) >= r) & (ex * ex + ey * ey > 0.0).all(axis=1)
 
     step = config.coarse_grid_step
-    xs = np.arange(xmin, xmax + 0.5 * step, step)
-    ys = np.arange(ymin, ymax + 0.5 * step, step)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    grid = np.empty((nx, ny, 2))
+    grid[..., 0] = np.arange(xmin, xmax + 0.5 * step, step)[:, None]
+    grid[..., 1] = np.arange(ymin, ymax + 0.5 * step, step)
+    pts = grid.reshape(-1, 2)
     mask = feasible(pts)
     if not mask.any():
         raise SearchError("feasible region is empty")
     pts = pts[mask]
     incumbent, value = _argmin_lex(pts, evaluate(pts))
 
+    # each pass: the 9x9 local grid in (x, y)-lexicographic order, then the
+    # incumbent, in one reused buffer
+    local = np.empty((_LOCAL_GRID * _LOCAL_GRID + 1, 2))
+    local_grid = local[:-1].reshape(_LOCAL_GRID, _LOCAL_GRID, 2)
     half = step
     for _ in range(config.refine_iterations):
-        lx = np.clip(np.linspace(incumbent[0] - half, incumbent[0] + half, _LOCAL_GRID), xmin, xmax)
-        ly = np.clip(np.linspace(incumbent[1] - half, incumbent[1] + half, _LOCAL_GRID), ymin, ymax)
-        gx, gy = np.meshgrid(lx, ly, indexing="ij")
-        local = np.column_stack([gx.ravel(), gy.ravel()])
-        local = np.vstack([local, incumbent])
-        lmask = feasible(local)
-        local = local[lmask]
-        incumbent, value = _argmin_lex(local, evaluate(local))
+        axes = np.clip(np.linspace(incumbent - half, incumbent + half, _LOCAL_GRID), lo, hi)
+        local_grid[..., 0] = axes[:, 0, None]
+        local_grid[..., 1] = axes[:, 1]
+        local[-1] = incumbent
+        cand = local[feasible(local)]
+        incumbent, value = _argmin_lex(cand, evaluate(cand))
         half *= config.refine_shrink
 
     if objective == "rss":

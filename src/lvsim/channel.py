@@ -122,8 +122,14 @@ def mean_vector(geometry: NetworkGeometry, location) -> np.ndarray:
     the result has shape (..., N).
     """
     loc = np.asarray(location, dtype=float)
-    diff = loc[..., None, :] - geometry.bs_positions
-    dist = np.linalg.norm(diff, axis=-1)
+    if loc.shape[-1:] != (2,):
+        raise GeometryError("location must be a 2-D point or an array of shape (..., 2)")
+    bs = geometry.bs_positions
+    dx = loc[..., 0, None] - bs[:, 0]
+    dy = loc[..., 1, None] - bs[:, 1]
+    # bit-identical to np.linalg.norm over the coordinate axis, without its
+    # per-call overhead
+    dist = np.sqrt(dx * dx + dy * dy)
     if np.any(dist == 0.0):
         raise GeometryError("location coincides with a base station")
     return geometry.ref_power_db - 10.0 * geometry.path_loss_exponent * np.log10(

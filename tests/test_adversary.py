@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from lvsim.adversary import (
 )
 from lvsim.channel import build_covariance, mean_vector
 
-from conftest import CLAIMED, random_setup
+from conftest import CLAIMED, make_geometry, random_setup
 
 
 def boost_oracle(x_t, geometry, model):
@@ -189,3 +191,108 @@ class TestLocationSearch:
     def test_nan_grid_step_rejected(self):
         with pytest.raises(SearchError, match="coarse_grid_step"):
             SearchConfig(min_distance=1.0, coarse_grid_step=math.nan)
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            (0.0, math.nan, 0.0, 100.0),
+            (0.0, 100.0, -math.inf, 100.0),
+            (math.inf, math.inf, 0.0, 0.0),
+        ],
+    )
+    def test_non_finite_region_rejected(self, region):
+        with pytest.raises(SearchError, match="finite"):
+            SearchConfig(min_distance=1.0, region=region)
+
+    @pytest.mark.parametrize("region", [(100.0, 0.0, 0.0, 100.0), (0.0, 100.0, 1.0, 0.0)])
+    def test_inverted_region_rejected(self, region):
+        with pytest.raises(SearchError, match="xmin <= xmax"):
+            SearchConfig(min_distance=1.0, region=region)
+
+    @pytest.mark.parametrize(
+        "region", [(0.0, 100.0, 0.0), (0.0, 1.0, 0.0, 1.0, 2.0), ("a", 1, 0, 1), 5.0]
+    )
+    def test_malformed_region_rejected(self, region):
+        with pytest.raises(SearchError, match="four numbers"):
+            SearchConfig(min_distance=1.0, region=region)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, math.nan])
+    def test_non_integer_refine_iterations_rejected(self, bad):
+        with pytest.raises(SearchError, match="refine_iterations"):
+            SearchConfig(min_distance=1.0, refine_iterations=bad)
+
+    def test_infinite_grid_step_rejected(self):
+        with pytest.raises(SearchError, match="coarse_grid_step"):
+            SearchConfig(min_distance=1.0, coarse_grid_step=math.inf)
+
+    def test_huge_coarse_grid_rejected_without_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchError, match="1,000,002,000,001 points"):
+                SearchConfig(
+                    min_distance=1.0, region=(0.0, 100.0, 0.0, 100.0), coarse_grid_step=1e-4
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_huge_derived_grid_rejected_without_allocating(self, fig3_geometry, fig3_model):
+        # without a region the grid size is only known once the geometry is
+        cfg = SearchConfig(min_distance=100.0, coarse_grid_step=1e-3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchError, match="above the cap of 1,000,000"):
+                optimize_true_location("rss", cfg, fig3_geometry, fig3_model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_grid_at_the_cap_is_accepted(self):
+        # 1000 x 1000 nodes: exactly the cap
+        SearchConfig(min_distance=1.0, region=(0.0, 999.0, 0.0, 999.0), coarse_grid_step=1.0)
+        with pytest.raises(SearchError, match="1,001,000 points"):
+            SearchConfig(min_distance=1.0, region=(0.0, 1000.0, 0.0, 999.0), coarse_grid_step=1.0)
+
+
+class TestSearchEdges:
+    """Grid nodes that land exactly on a station or on the exclusion circle."""
+
+    def test_station_on_coarse_node_is_skipped(self):
+        geometry = make_geometry([[-250.0, 10.0], [0.0, 0.0], [250.0, 10.0]])
+        model = build_covariance(geometry, 7.5, 50.0)
+        cfg = SearchConfig(min_distance=100.0, region=(-300.0, 300.0, -100.0, 100.0))
+        assert 0.0 in np.arange(-300.0, 312.5, 25.0) and 0.0 in np.arange(-100.0, 112.5, 25.0)
+        for objective in ("rss", "drss"):
+            strat = optimize_true_location(objective, cfg, geometry, model)
+            assert math.isfinite(strat.kl_nats)
+            assert strat.true_location != (0.0, 0.0)
+
+    def test_station_on_refinement_node_is_skipped(self):
+        # coarse nodes are multiples of 200 m, so the first refinement pass
+        # (spacing 50 m, +-200 m around the coarse optimum) has nodes on every
+        # multiple of 50 m nearby, including the station at (0, -50)
+        geometry = make_geometry([[-250.0, 0.0], [0.0, -50.0], [250.0, 50.0]], claimed=[50.0, 0.0])
+        model = build_covariance(geometry, 6.0, 50.0)
+        cfg = SearchConfig(
+            min_distance=100.0, region=(-400.0, 400.0, -400.0, 400.0), coarse_grid_step=200.0
+        )
+        for objective in ("rss", "drss"):
+            coarse_cfg = replace(cfg, refine_iterations=0)
+            coarse = optimize_true_location(objective, coarse_cfg, geometry, model)
+            offsets = np.subtract((0.0, -50.0), coarse.true_location)
+            assert np.all(np.abs(offsets) <= 200.0) and np.all(offsets % 50.0 == 0.0)
+            assert np.any(offsets % 200.0 != 0.0)  # not a coarse node itself
+            strat = optimize_true_location(objective, cfg, geometry, model)
+            assert math.isfinite(strat.kl_nats)
+
+    @pytest.mark.parametrize("region", [(150.0, 150.0, 5.0, 5.0), (50.0, 150.0, 5.0, 5.0)])
+    def test_point_on_exclusion_circle_stays_feasible(self, fig1_geometry, fig1_model, region):
+        # (150, 5) is exactly r = 100 m from the claim (50, 5) and is the only
+        # grid node outside the open disc, in the coarse grid and every pass
+        cfg = SearchConfig(min_distance=100.0, region=region)
+        for objective in ("rss", "drss"):
+            strat = optimize_true_location(objective, cfg, fig1_geometry, fig1_model)
+            assert strat.true_location == (150.0, 5.0)
+            assert math.dist(strat.true_location, CLAIMED) == 100.0

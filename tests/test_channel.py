@@ -63,6 +63,11 @@ class TestMeanVector:
         with pytest.raises(GeometryError):
             mean_vector(fig1_geometry, FIG1_BS[1])
 
+    @pytest.mark.parametrize("location", [[1.0, 2.0, 3.0], [[1.0], [2.0]], 5.0])
+    def test_location_without_two_coordinates_raises(self, fig1_geometry, location):
+        with pytest.raises(GeometryError, match="shape"):
+            mean_vector(fig1_geometry, location)
+
 
 class TestGeometryValidation:
     def test_duplicate_stations_rejected(self):

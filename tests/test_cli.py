@@ -66,6 +66,17 @@ class TestScenarioFile:
         with pytest.raises(ScenarioFileError, match="duplicate key"):
             parse_scenario_file(write(tmp_path, FIG1_FILE + "sigma_db = 3\n"))
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("region = 0 nan 0 100\n", "finite"),
+            ("region = 0 100 0 100\ncoarse_grid_step = 1e-4\n", "coarse grid would hold"),
+        ],
+    )
+    def test_bad_search_region_rejected(self, tmp_path, lines, message):
+        with pytest.raises(ScenarioFileError, match=f"invalid search configuration: .*{message}"):
+            parse_scenario_file(write(tmp_path, FIG1_FILE + lines))
+
 
 class TestMain:
     def test_verify_exits_zero(self, tmp_path, capsys):

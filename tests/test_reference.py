@@ -1,8 +1,10 @@
-"""Cross-checks of the whitened, vectorized algebra against scipy references.
+"""Cross-checks of the whitened, vectorized algebra against references.
 
 The package itself does not use scipy; these tests recompute every quadratic
 form with ``scipy.linalg.cho_solve`` and every Gaussian tail with
-``scipy.stats.norm`` and require agreement to rounding.
+``scipy.stats.norm`` and require agreement to rounding.  The location search
+and ``mean_vector`` are checked bit for bit against a plain meshgrid /
+``np.linalg.norm`` copy kept here.
 """
 
 import os
@@ -16,8 +18,18 @@ from scipy.linalg import cho_solve
 from scipy.stats import norm
 
 import lvsim
-from lvsim.adversary import kl_drss, kl_rss, kl_rss_minimized, optimal_power_boost
-from lvsim.channel import mean_vector, sample_observations
+import lvsim.adversary as adversary
+from lvsim.adversary import (
+    AttackStrategy,
+    SearchConfig,
+    default_search_region,
+    kl_drss,
+    kl_rss,
+    kl_rss_minimized,
+    optimal_power_boost,
+    optimize_true_location,
+)
+from lvsim.channel import GeometryError, build_covariance, mean_vector, sample_observations
 from lvsim.detector import (
     DetectorSpec,
     analytic_rates,
@@ -170,3 +182,95 @@ def test_import_does_not_load_scipy():
     code = "import sys, lvsim, lvsim.cli; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "importing lvsim loaded scipy"
+
+
+def reference_mean_vector(geometry, location):
+    """mean_vector with the distances taken by np.linalg.norm."""
+    loc = np.asarray(location, dtype=float)
+    dist = np.linalg.norm(loc[..., None, :] - geometry.bs_positions, axis=-1)
+    if np.any(dist == 0.0):
+        raise GeometryError("location coincides with a base station")
+    return geometry.ref_power_db - 10.0 * geometry.path_loss_exponent * np.log10(
+        dist / geometry.ref_distance_m
+    )
+
+
+def reference_search(objective, config, geometry, model):
+    """The location search built from meshgrid / linspace / vstack grids.
+
+    Feasibility makes one np.linalg.norm pass for the claim and one per
+    station; scoring goes through the same public KL objectives.
+    """
+    evaluate = kl_rss_minimized if objective == "rss" else kl_drss
+    xmin, xmax, ymin, ymax = config.region or default_search_region(geometry, config.min_distance)
+    xc, r = geometry.claimed_location, config.min_distance
+
+    def feasible(pts):
+        ok = np.linalg.norm(pts - xc, axis=-1) >= r
+        for b in geometry.bs_positions:
+            ok &= np.linalg.norm(pts - b, axis=-1) > 0.0
+        return ok
+
+    def best(pts):
+        pts = pts[feasible(pts)]
+        return adversary._argmin_lex(pts, np.atleast_1d(evaluate(pts, geometry, model)))
+
+    step = config.coarse_grid_step
+    xs = np.arange(xmin, xmax + 0.5 * step, step)
+    ys = np.arange(ymin, ymax + 0.5 * step, step)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    incumbent, value = best(np.column_stack([gx.ravel(), gy.ravel()]))
+    half = step
+    for _ in range(config.refine_iterations):
+        lx = np.clip(np.linspace(incumbent[0] - half, incumbent[0] + half, 9), xmin, xmax)
+        ly = np.clip(np.linspace(incumbent[1] - half, incumbent[1] + half, 9), ymin, ymax)
+        gx, gy = np.meshgrid(lx, ly, indexing="ij")
+        incumbent, value = best(np.vstack([np.column_stack([gx.ravel(), gy.ravel()]), incumbent]))
+        half *= config.refine_shrink
+    boost = 0.0
+    if objective == "rss":
+        u = reference_mean_vector(geometry, geometry.claimed_location)
+        boost = optimal_power_boost(u, reference_mean_vector(geometry, incumbent), model)
+    return AttackStrategy(
+        (float(incumbent[0]), float(incumbent[1])), boost, value, objective == "rss"
+    )
+
+
+@pytest.fixture(scope="module")
+def deployments():
+    """210 random deployments: r cycles over 50/100/250 m, every 4th has D_c = 0."""
+    rng = np.random.default_rng(2718)
+    out = []
+    for k in range(210):
+        geometry, model, _ = random_setup(rng)
+        if k % 4 == 0:
+            model = build_covariance(geometry, model.sigma_db, 0.0)
+        out.append((geometry, model, (50.0, 100.0, 250.0)[k % 3]))
+    return out
+
+
+def test_mean_vector_equals_norm_form_bitwise(deployments):
+    rng = np.random.default_rng(5)
+    for geometry, _, _ in deployments:
+        pts = rng.uniform(-800.0, 800.0, (64, 2))
+        np.testing.assert_array_equal(
+            mean_vector(geometry, pts), reference_mean_vector(geometry, pts)
+        )
+        np.testing.assert_array_equal(
+            mean_vector(geometry, pts[0]), reference_mean_vector(geometry, pts[0])
+        )
+
+
+def test_search_equals_reference_bitwise(deployments, monkeypatch):
+    assert sum(model.correlation_distance == 0.0 for _, model, _ in deployments) >= 50
+    for geometry, model, r in deployments:
+        config = SearchConfig(min_distance=r)
+        for objective in ("rss", "drss"):
+            got = optimize_true_location(objective, config, geometry, model)
+            with monkeypatch.context() as patch:
+                patch.setattr(adversary, "mean_vector", reference_mean_vector)
+                want = reference_search(objective, config, geometry, model)
+            assert got.true_location == want.true_location
+            assert got.kl_nats == want.kl_nats
+            assert got.power_boost_db == want.power_boost_db
+            assert got.power_boost_relevant == want.power_boost_relevant
