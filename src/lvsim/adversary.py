@@ -134,17 +134,16 @@ def optimal_power_boost(u: np.ndarray, v: np.ndarray, model: ShadowingModel) -> 
     return float((np.asarray(u, dtype=float) - v) @ model.whitener.T @ ones / (ones @ ones))
 
 
-def kl_rss(
-    p_x: float, x_t, geometry: NetworkGeometry, model: ShadowingModel
-):
+def kl_rss(p_x, x_t, geometry: NetworkGeometry, model: ShadowingModel):
     """KL divergence seen by the RSS detector for boost ``p_x`` at ``x_t``.
 
     Equals 0.5 |W (p_x 1 + v - u)|^2; ``x_t`` may be a single point or an
-    array of shape (..., 2).
+    array of shape (..., 2).  ``p_x`` may be a float or an array of shape
+    (..., 1) that broadcasts against the leading axes of ``x_t``:
+    ``p_grid[:, None]`` with one point scores a column of boosts.
     """
-    u = mean_vector(geometry, geometry.claimed_location)
     v = mean_vector(geometry, x_t)
-    return _half_sq_norm((p_x + v - u) @ model.whitener.T)
+    return _half_sq_norm((p_x + v - geometry.claimed_mean) @ model.whitener.T)
 
 
 def kl_rss_minimized(x_t, geometry: NetworkGeometry, model: ShadowingModel):
@@ -154,9 +153,8 @@ def kl_rss_minimized(x_t, geometry: NetworkGeometry, model: ShadowingModel):
     residual of W(v - u) after projecting out W 1.  Vectorized over ``x_t``
     of shape (..., 2).
     """
-    u = mean_vector(geometry, geometry.claimed_location)
     v = mean_vector(geometry, x_t)
-    z = (v - u) @ model.whitener.T
+    z = (v - geometry.claimed_mean) @ model.whitener.T
     ones = model.whitener.sum(axis=1)
     unit = ones / np.sqrt(ones @ ones)
     return _half_sq_norm(z - (z @ unit)[..., None] * unit)
@@ -168,9 +166,7 @@ def kl_drss(x_t, geometry: NetworkGeometry, model: ShadowingModel):
     Equals 0.5 |W_D delta|^2 for the differenced mean shift delta.
     Vectorized over ``x_t`` of shape (..., 2).
     """
-    u = mean_vector(geometry, geometry.claimed_location)
-    v = mean_vector(geometry, x_t)
-    g = v - u
+    g = mean_vector(geometry, x_t) - geometry.claimed_mean
     delta = g[..., :-1] - g[..., -1:]
     return _half_sq_norm(delta @ model.d_whitener.T)
 
@@ -259,9 +255,8 @@ def optimize_true_location(
         half *= config.refine_shrink
 
     if objective == "rss":
-        u = mean_vector(geometry, geometry.claimed_location)
         v = mean_vector(geometry, incumbent)
-        boost = optimal_power_boost(u, v, model)
+        boost = optimal_power_boost(geometry.claimed_mean, v, model)
         return AttackStrategy(
             true_location=(float(incumbent[0]), float(incumbent[1])),
             power_boost_db=boost,

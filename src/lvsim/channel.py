@@ -43,6 +43,9 @@ class NetworkGeometry:
 
     Coordinates are 2-D Euclidean, in meters.  ``ref_power_db`` is the
     received power at ``ref_distance_m`` from the transmitter.
+    ``claimed_mean`` is the read-only mean vector u at the claimed location,
+    ``mean_vector(self, claimed_location)``, computed once when the geometry
+    is built.
     """
 
     bs_positions: np.ndarray  # (N, 2)
@@ -69,10 +72,13 @@ class NetworkGeometry:
             raise GeometryError("path loss exponent must be positive")
         d = np.linalg.norm(bs[:, None, :] - bs[None, :, :], axis=-1)
         np.fill_diagonal(d, np.inf)
-        if np.any(d == 0.0):
+        if (d == 0.0).any():
             raise GeometryError("base-station positions must be pairwise distinct")
-        if np.any(np.linalg.norm(bs - xc, axis=-1) == 0.0):
+        if (np.linalg.norm(bs - xc, axis=-1) == 0.0).any():
             raise GeometryError("claimed location coincides with a base station")
+        u = mean_vector(self, xc)
+        u.flags.writeable = False
+        object.__setattr__(self, "claimed_mean", u)
 
     @property
     def n_stations(self) -> int:
@@ -130,7 +136,7 @@ def mean_vector(geometry: NetworkGeometry, location) -> np.ndarray:
     # bit-identical to np.linalg.norm over the coordinate axis, without its
     # per-call overhead
     dist = np.sqrt(dx * dx + dy * dy)
-    if np.any(dist == 0.0):
+    if (dist == 0.0).any():
         raise GeometryError("location coincides with a base station")
     return geometry.ref_power_db - 10.0 * geometry.path_loss_exponent * np.log10(
         dist / geometry.ref_distance_m

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import SearchConfig, SearchError
-from .channel import CovarianceError, GeometryError, NetworkGeometry
+from .channel import GeometryError, NetworkGeometry
 from .detector import roc_to_csv
 from .experiments import (
     MC_LOG_THRESHOLDS,
@@ -27,8 +27,6 @@ from .experiments import (
 from .montecarlo import SUITE_Z
 
 __all__ = ["ScenarioFileError", "parse_scenario_file", "main"]
-
-_VALIDATION_ERRORS = (ScenarioError, GeometryError, CovarianceError, SearchError, ValueError)
 
 _VERIFY_TRIALS = 100  # random geometries of `verify` by default, of `reproduce` always
 
@@ -112,10 +110,10 @@ def parse_scenario_file(path: str | Path) -> Scenario:
         else:
             raise ScenarioFileError(f"line {line_no}: unknown key '{key}'")
 
-    def require(key):
+    def require(key, parse=None):
         if key not in scalars:
             raise ScenarioFileError(f"missing required key '{key}'")
-        return scalars[key]
+        return scalars[key] if parse is None else parse(key)
 
     def floats(key, count=None, default=None):
         if key not in scalars:
@@ -181,15 +179,9 @@ def parse_scenario_file(path: str | Path) -> Scenario:
         return Scenario(
             name=name,
             geometry=geometry,
-            sigma_db=number("sigma_db", cast=float)
-            if "sigma_db" in scalars
-            else _raise_missing("sigma_db"),
-            correlation_distance=number("correlation_distance", cast=float)
-            if "correlation_distance" in scalars
-            else _raise_missing("correlation_distance"),
-            min_distance=number("min_distance", cast=float)
-            if "min_distance" in scalars
-            else _raise_missing("min_distance"),
+            sigma_db=require("sigma_db", number),
+            correlation_distance=require("correlation_distance", number),
+            min_distance=require("min_distance", number),
             attack=attack,
             modes=modes,
             thresholds=floats("thresholds"),
@@ -204,10 +196,6 @@ def parse_scenario_file(path: str | Path) -> Scenario:
         )
     except ScenarioError as exc:
         raise ScenarioFileError(f"invalid scenario: {exc}") from exc
-
-
-def _raise_missing(key: str):
-    raise ScenarioFileError(f"missing required key '{key}'")
 
 
 def _load_scenario(source: str) -> Scenario:
@@ -378,10 +366,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _VALIDATION_ERRORS as exc:
+    except ValueError as exc:  # every lvsim validation error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -239,9 +239,8 @@ def resolve_attack(
             power_boost_relevant=False,
         )
     if policy.kind == "fixed-location":
-        u = mean_vector(geometry, geometry.claimed_location)
         v = mean_vector(geometry, x_t)
-        boost = optimal_power_boost(u, v, model)
+        boost = optimal_power_boost(geometry.claimed_mean, v, model)
     else:
         boost = float(policy.power_boost_db)
     return AttackStrategy(
@@ -259,7 +258,7 @@ def detector_spec(
     strategy: AttackStrategy,
 ) -> DetectorSpec:
     """Detector specification matching a given attack strategy."""
-    u = mean_vector(geometry, geometry.claimed_location)
+    u = geometry.claimed_mean
     v = strategy.power_boost_db + mean_vector(geometry, strategy.true_location)
     if mode == "rss":
         return DetectorSpec(mode="rss", mu0=u, mu1=v, cov=model.covariance)
@@ -523,7 +522,7 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
     for _ in range(trials):
         geometry, x_t, sigma, dc, r = _random_geometry(rng)
         model = build_covariance(geometry, sigma, dc)
-        u = mean_vector(geometry, geometry.claimed_location)
+        u = geometry.claimed_mean
         v = mean_vector(geometry, x_t)
         boost = optimal_power_boost(u, v, model)
 
@@ -565,7 +564,7 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
 
         # KL is convex in the boost and minimized at the closed form.
         p_grid = boost + np.linspace(-5.0, 5.0, 21)
-        phi = np.array([kl_rss(p, x_t, geometry, model) for p in p_grid])
+        phi = kl_rss(p_grid[:, None], x_t, geometry, model)
         second = np.diff(phi, 2)
         convexity_violation = max(convexity_violation, float(-(second.min())))
         convexity_violation = max(convexity_violation, float(lhs - phi.min()))

@@ -80,7 +80,7 @@ class KlEstimate:
 
 def _rss_mean(plan: TrialPlan, geometry: NetworkGeometry) -> np.ndarray:
     if plan.hypothesis == "h0":
-        return mean_vector(geometry, geometry.claimed_location)
+        return geometry.claimed_mean
     strat = plan.strategy
     return strat.power_boost_db + mean_vector(geometry, strat.true_location)
 
@@ -130,7 +130,7 @@ def estimate_kl(
     """
     if n_samples < 1:
         raise PlanError("n_samples must be at least 1")
-    u = mean_vector(geometry, geometry.claimed_location)
+    u = geometry.claimed_mean
     m1 = p_x + mean_vector(geometry, x_t)
     rng = np.random.Generator(np.random.Philox(seed))
     y = sample_observations(model, u, rng, n_samples)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import lvsim.adversary as adversary
 from lvsim.adversary import (
     SearchConfig,
     SearchError,
@@ -116,6 +117,23 @@ class TestMinimizedKl:
         g = mean_vector(fig1_geometry, x_t) - mean_vector(fig1_geometry, CLAIMED)
         expected = 0.5 * (np.sum(g**2) - np.sum(g) ** 2 / g.size)
         assert kl_rss_minimized(x_t, fig1_geometry, model) == pytest.approx(expected, rel=1e-12)
+
+
+class TestClaimedMeanReuse:
+    @pytest.mark.parametrize("objective", [kl_rss_minimized, kl_drss])
+    def test_batched_call_evaluates_mean_vector_once(
+        self, fig1_geometry, fig1_model, monkeypatch, objective
+    ):
+        calls = []
+
+        def counting(geometry, location):
+            calls.append(np.shape(location))
+            return mean_vector(geometry, location)
+
+        monkeypatch.setattr(adversary, "mean_vector", counting)
+        pts = np.array([[600.0, 5.0], [50.0, 600.0], [-500.0, -40.0]])
+        objective(pts, fig1_geometry, fig1_model)
+        assert calls == [(3, 2)]
 
 
 class TestKlDrss:

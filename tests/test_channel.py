@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +68,24 @@ class TestMeanVector:
     def test_location_without_two_coordinates_raises(self, fig1_geometry, location):
         with pytest.raises(GeometryError, match="shape"):
             mean_vector(fig1_geometry, location)
+
+
+class TestClaimedMean:
+    def test_equals_mean_vector_at_the_claim_bit_for_bit(self, fig1_geometry):
+        np.testing.assert_array_equal(
+            fig1_geometry.claimed_mean, mean_vector(fig1_geometry, CLAIMED)
+        )
+
+    def test_is_read_only(self, fig1_geometry):
+        with pytest.raises(ValueError, match="read-only"):
+            fig1_geometry.claimed_mean[0] = 0.0
+
+    def test_replace_recomputes_it(self, fig1_geometry):
+        moved = replace(fig1_geometry, claimed_location=np.array([120.0, -30.0]))
+        np.testing.assert_array_equal(
+            moved.claimed_mean, mean_vector(fig1_geometry, [120.0, -30.0])
+        )
+        assert not np.array_equal(moved.claimed_mean, fig1_geometry.claimed_mean)
 
 
 class TestGeometryValidation:

@@ -104,6 +104,18 @@ def test_vectorized_kl_matches_pointwise(setups):
             assert batch[i] == pytest.approx(fn(*args, pt, geometry, model), rel=REL)
 
 
+def test_boost_column_matches_scalar_calls(setups):
+    # verify_theorems scores its boost scan as one column; gemm and gemv
+    # round differently, so equality is to rounding, not bit for bit
+    for geometry, model, x_t, _ in setups:
+        boost = optimal_power_boost(geometry.claimed_mean, mean_vector(geometry, x_t), model)
+        p_grid = boost + np.linspace(-5.0, 5.0, 21)
+        column = kl_rss(p_grid[:, None], x_t, geometry, model)
+        scalar = np.array([kl_rss(p, x_t, geometry, model) for p in p_grid])
+        assert column.shape == (21,)
+        assert np.max(np.abs(column - scalar) / scalar) <= 1e-14
+
+
 def test_estimate_kl_matches_cho_solve(setups):
     for k, (geometry, model, x_t, p_x) in enumerate(setups[:40]):
         est = estimate_kl(x_t, p_x, geometry, model, 500, seed=k)
