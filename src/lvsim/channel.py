@@ -7,7 +7,7 @@ correlation: the covariance between two base stations halves every
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,6 +83,11 @@ class NetworkGeometry:
     @property
     def n_stations(self) -> int:
         return self.bs_positions.shape[0]
+
+    def __reduce__(self):
+        # copies and unpickled geometries are rebuilt through the constructor,
+        # so their claimed_mean is recomputed and read-only again
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
     def __eq__(self, other):
         if not isinstance(other, NetworkGeometry):
@@ -206,4 +211,6 @@ def sample_observations(
     """Draw ``n`` observation vectors at once, shape (n, N)."""
     dim = model.chol_lower.shape[0]
     z = rng.standard_normal((n, dim))
-    return np.asarray(mean, dtype=float) + z @ model.chol_lower.T
+    y = z @ model.chol_lower.T
+    y += mean
+    return y

@@ -155,9 +155,14 @@ def decide(spec: DetectorSpec, obs: np.ndarray, log_threshold=0.0):
     Equality with the threshold decides H1.  The statistic is computed once;
     an array of k thresholds gives decisions of shape (..., k).
     """
-    return np.greater_equal.outer(
-        test_statistic(spec, obs), spec.statistic_threshold(np.asarray(log_threshold))
-    )
+    stat = test_statistic(spec, obs)
+    thr = spec.statistic_threshold(np.asarray(log_threshold))
+    if thr.ndim == 0:
+        return stat >= thr
+    # built with the thresholds outermost, so each threshold's decisions are
+    # contiguous, then viewed with the threshold axes last
+    k = thr.ndim
+    return np.moveaxis(np.less_equal.outer(thr, stat), range(k), range(-k, 0))
 
 
 def analytic_rates(spec: DetectorSpec, log_threshold=0.0):

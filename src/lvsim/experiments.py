@@ -36,7 +36,7 @@ from .detector import (
     roc_sweep,
     roc_to_csv,
 )
-from .montecarlo import SUITE_Z, TrialPlan, agreement_sigma, estimate_rate
+from .montecarlo import SUITE_Z, TrialPlan, _is_count, agreement_sigma, estimate_rate
 
 __all__ = [
     "ScenarioError",
@@ -115,6 +115,8 @@ class Scenario:
     def __post_init__(self):
         if not 0.0 < self.min_distance < math.inf:
             raise ScenarioError("min_distance must be positive and finite")
+        if not _is_count(self.mc_trials):
+            raise ScenarioError(f"mc_trials must be an integer, got {self.mc_trials!r}")
         if self.mc_trials < 1:
             raise ScenarioError("mc_trials must be at least 1")
         for mode in self.modes:

@@ -37,6 +37,17 @@ __all__ = [
 # (two-sided 1e-4 per comparison).
 SUITE_Z = 3.89
 
+# Rows drawn, transformed and scored at a time.  A (4096, N <= 8) float64
+# block is at most 256 KB, so it stays in cache and its matmul stays below
+# OpenBLAS's threading threshold.  Blocks consume the Philox stream in
+# order, so they draw exactly what one call for all rows would.
+_BLOCK_ROWS = 4096
+
+
+def _is_count(value) -> bool:
+    """True for a Python or numpy integer; bools and floats are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
 
 class PlanError(ValueError):
     """Inconsistent trial plan (e.g. H1 without an attack strategy)."""
@@ -52,6 +63,8 @@ class TrialPlan:
     strategy: AttackStrategy | None = None
 
     def __post_init__(self):
+        if not _is_count(self.n_trials):
+            raise PlanError(f"n_trials must be an integer, got {self.n_trials!r}")
         if self.n_trials < 1:
             raise PlanError("n_trials must be at least 1")
         if self.hypothesis not in ("h0", "h1"):
@@ -97,21 +110,27 @@ def estimate_rate(
     Draws ``plan.n_trials`` RSS observations once and scores every spec on
     them, one statistic per spec for all thresholds; DRSS specs see the
     differenced observations. Returns one rate per (spec, threshold), spec
-    by spec, and draws nothing when there is no spec. The draws do not
-    outlive the call.
+    by spec, and draws nothing when there is no spec. Observations are
+    drawn and scored in blocks of ``_BLOCK_ROWS`` rows, so no
+    (n_trials, N) array is ever held.
     """
     if not specs:
         return ()
+    n = plan.n_trials
     mean = _rss_mean(plan, geometry)
     rng = np.random.Generator(np.random.Philox(plan.seed))
-    y = sample_observations(model, mean, rng, plan.n_trials)
-    d = drss_transform(y) if any(spec.mode == "drss" for spec in specs) else None
+    drss = any(spec.mode == "drss" for spec in specs)
+    counts = np.zeros((len(specs), len(log_thresholds)), dtype=np.int64)
+    for start in range(0, n, _BLOCK_ROWS):
+        y = sample_observations(model, mean, rng, min(_BLOCK_ROWS, n - start))
+        d = drss_transform(y) if drss else None
+        for spec, count in zip(specs, counts):
+            accepted = decide(spec, d if spec.mode == "drss" else y, log_thresholds)
+            count += np.count_nonzero(accepted, axis=0)
     rates = []
-    for spec in specs:
-        accepted = decide(spec, d if spec.mode == "drss" else y, log_thresholds)
-        for rate in (np.count_nonzero(accepted, axis=0) / plan.n_trials).tolist():
-            stderr = float(np.sqrt(rate * (1.0 - rate) / plan.n_trials))
-            rates.append(EmpiricalRate(rate=rate, stderr=stderr, n_trials=plan.n_trials))
+    for rate in (counts / n).ravel().tolist():
+        stderr = float(np.sqrt(rate * (1.0 - rate) / n))
+        rates.append(EmpiricalRate(rate=rate, stderr=stderr, n_trials=n))
     return tuple(rates)
 
 
@@ -128,6 +147,8 @@ def estimate_kl(
     Averages the log-likelihood ratio ln f(y|H0) / ln f(y|attack) over draws
     from the legitimate distribution.
     """
+    if not _is_count(n_samples):
+        raise PlanError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1:
         raise PlanError("n_samples must be at least 1")
     u = geometry.claimed_mean

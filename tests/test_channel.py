@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +88,15 @@ class TestClaimedMean:
             moved.claimed_mean, mean_vector(fig1_geometry, [120.0, -30.0])
         )
         assert not np.array_equal(moved.claimed_mean, fig1_geometry.claimed_mean)
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))]
+    )
+    def test_copies_stay_read_only(self, fig1_geometry, clone):
+        twin = clone(fig1_geometry)
+        assert twin == fig1_geometry
+        np.testing.assert_array_equal(twin.claimed_mean, fig1_geometry.claimed_mean)
+        assert not twin.claimed_mean.flags.writeable
 
 
 class TestGeometryValidation:

@@ -121,6 +121,24 @@ class TestDecide:
         obs = np.vstack([spec.mu0, spec.mu1])
         np.testing.assert_array_equal(decide(spec, obs), [False, True])
 
+    @pytest.mark.parametrize("shape", [(64,), (4, 16)])
+    @pytest.mark.parametrize("log_threshold", [0.0, [-1.0, 0.0, 1.0], [[-1.0, 0.5], [0.0, 1.0]]])
+    def test_matches_statistic_outer_threshold(self, shape, log_threshold):
+        # direction e1 and statistic thresholds 0.5 + ln λ: dyadic, so the
+        # first coordinate hits some thresholds exactly and ties are covered
+        e1 = np.array([1.0, 0.0, 0.0])
+        spec = make_spec(np.eye(3), mu1=e1)
+        rng = np.random.default_rng(0)
+        obs = rng.normal(size=(*shape, 3))
+        obs[..., 0] = rng.choice([-1.5, -0.5, 0.5, 1.0, 1.5, 2.5], size=shape)
+        expected = np.greater_equal.outer(
+            linear_statistic(spec, obs), spec.statistic_threshold(np.asarray(log_threshold))
+        )
+        got = decide(spec, obs, log_threshold)
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
+        assert expected.any() and not expected.all()
+
 
 class TestSpecValidation:
     def test_equal_means_rejected(self, fig1_model):

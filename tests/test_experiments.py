@@ -51,6 +51,14 @@ class TestRegistry:
         with pytest.raises(ScenarioError, match="mc_trials"):
             replace(builtin_scenario("fig3"), mc_trials=0)
 
+    @pytest.mark.parametrize("bad", [1000.0, 2.5, True])
+    def test_non_integral_mc_trials_rejected(self, bad):
+        with pytest.raises(ScenarioError, match="mc_trials"):
+            replace(builtin_scenario("fig3"), mc_trials=bad)
+
+    def test_numpy_integer_mc_trials_accepted(self):
+        assert replace(builtin_scenario("fig3"), mc_trials=np.int64(1000)).mc_trials == 1000
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_min_distance_rejected(self, bad):
         with pytest.raises(ScenarioError, match="min_distance"):
@@ -124,6 +132,23 @@ class TestRunScenario:
         run_scenario(replace(builtin_scenario("fig3"), mc_trials=2000))
         # one H0 set shared by both modes, one H1 set per mode
         assert len(calls) == 3
+
+    def test_blocked_draws_cover_each_distribution_once(self, monkeypatch):
+        import lvsim.montecarlo
+
+        rows = {}
+        draw = lvsim.montecarlo.sample_observations
+
+        def counting(model, mean, rng, n):
+            key = np.asarray(mean).tobytes()
+            rows[key] = rows.get(key, 0) + n
+            return draw(model, mean, rng, n)
+
+        monkeypatch.setattr(lvsim.montecarlo, "sample_observations", counting)
+        trials = 2 * lvsim.montecarlo._BLOCK_ROWS + 17
+        run_scenario(replace(builtin_scenario("fig3"), mc_trials=trials))
+        # H0 and one H1 mean per mode, each drawn mc_trials rows in all
+        assert sorted(rows.values()) == [trials] * 3
 
     def test_mode_records_independent_of_other_modes(self):
         scenario = replace(builtin_scenario("fig3"), mc_trials=2000)

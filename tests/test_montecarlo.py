@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lvsim.adversary import kl_rss
-from lvsim.experiments import builtin_scenario, detector_spec, resolve_attack
+from lvsim.channel import mean_vector, sample_observations
+from lvsim.detector import drss_transform
+from lvsim.detector import test_statistic as linear_statistic
+from lvsim.experiments import MC_LOG_THRESHOLDS, builtin_scenario, detector_spec, resolve_attack
 from lvsim.montecarlo import (
+    _BLOCK_ROWS,
     KlEstimate,
     PlanError,
     TrialPlan,
@@ -21,6 +27,67 @@ def fig2_setup():
     model = scenario.shadowing()
     strategy = resolve_attack(scenario, "drss", model)
     return scenario, model, strategy
+
+
+@pytest.fixture(scope="module")
+def fig2_specs(fig2_setup):
+    """Per mode: its attack strategy and the detector spec built for it."""
+    scenario, model, _ = fig2_setup
+    out = {}
+    for mode in ("rss", "drss"):
+        strategy = resolve_attack(scenario, mode, model)
+        out[mode] = (strategy, detector_spec(mode, scenario.geometry, model, strategy))
+    return out
+
+
+def unblocked_rates(plan, specs, geometry, model, log_thresholds):
+    """Reference: all rows in one draw, each threshold compared on its own."""
+    if plan.hypothesis == "h0":
+        mean = geometry.claimed_mean
+    else:
+        strategy = plan.strategy
+        mean = strategy.power_boost_db + mean_vector(geometry, strategy.true_location)
+    rng = np.random.Generator(np.random.Philox(plan.seed))
+    y = sample_observations(model, mean, rng, plan.n_trials)
+    rates = []
+    for spec in specs:
+        stat = linear_statistic(spec, drss_transform(y) if spec.mode == "drss" else y)
+        for lam in log_thresholds:
+            accepted = np.count_nonzero(stat >= spec.statistic_threshold(lam))
+            rates.append(accepted / plan.n_trials)
+    return rates
+
+
+class TestBlockedScoring:
+    @pytest.mark.parametrize(
+        "n_trials", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 17]
+    )
+    def test_rates_equal_one_unblocked_draw(self, fig2_setup, fig2_specs, n_trials):
+        scenario, model, _ = fig2_setup
+        geometry = scenario.geometry
+        specs = tuple(spec for _, spec in fig2_specs.values())
+        plans = [(TrialPlan(n_trials, seed=11, hypothesis="h0"), specs)]
+        for k, (strategy, spec) in enumerate(fig2_specs.values()):
+            plans.append((TrialPlan(n_trials, 12 + k, "h1", strategy), (spec,)))
+        for plan, plan_specs in plans:
+            got = estimate_rate(plan, plan_specs, geometry, model, MC_LOG_THRESHOLDS)
+            assert [emp.rate for emp in got] == unblocked_rates(
+                plan, plan_specs, geometry, model, MC_LOG_THRESHOLDS
+            )
+            assert all(emp.n_trials == n_trials for emp in got)
+
+    def test_peak_memory_independent_of_trials(self, fig2_setup, fig2_specs):
+        # one (100_000, 4) draw alone would be 3.2 MB
+        scenario, model, _ = fig2_setup
+        specs = tuple(spec for _, spec in fig2_specs.values())
+        plan = TrialPlan(100_000, seed=13, hypothesis="h0")
+        tracemalloc.start()
+        try:
+            estimate_rate(plan, specs, scenario.geometry, model, MC_LOG_THRESHOLDS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestEstimateRate:
@@ -92,6 +159,14 @@ class TestEstimateRate:
         with pytest.raises(PlanError):
             TrialPlan(10, seed=0, hypothesis="h2")
 
+    @pytest.mark.parametrize("bad", [1000.0, 2.5, True])
+    def test_non_integral_trials_rejected(self, bad):
+        with pytest.raises(PlanError, match="n_trials"):
+            TrialPlan(bad, seed=0, hypothesis="h0")
+
+    def test_numpy_integer_trials_accepted(self):
+        assert TrialPlan(np.int64(10), seed=0, hypothesis="h0").n_trials == 10
+
 
 class TestEstimateKl:
     def test_zero_at_legitimate_configuration(self, fig3_geometry, fig3_model):
@@ -109,6 +184,11 @@ class TestEstimateKl:
         small = estimate_kl(x_t, 2.0, fig3_geometry, fig3_model, 25_000, seed=8)
         large = estimate_kl(x_t, 2.0, fig3_geometry, fig3_model, 100_000, seed=8)
         assert large.stderr == pytest.approx(small.stderr / 2, rel=0.15)
+
+    @pytest.mark.parametrize("bad", [1000.0, 2.5, True])
+    def test_non_integral_samples_rejected(self, fig3_geometry, fig3_model, bad):
+        with pytest.raises(PlanError, match="n_samples"):
+            estimate_kl([300.0, 5.0], 0.0, fig3_geometry, fig3_model, bad, seed=9)
 
     def test_returns_estimate_object(self, fig3_geometry, fig3_model):
         est = estimate_kl([300.0, 5.0], 0.0, fig3_geometry, fig3_model, 100, seed=9)
