@@ -157,8 +157,6 @@ def decide(spec: DetectorSpec, obs: np.ndarray, log_threshold=0.0):
     """
     stat = test_statistic(spec, obs)
     thr = spec.statistic_threshold(np.asarray(log_threshold))
-    if thr.ndim == 0:
-        return stat >= thr
     # built with the thresholds outermost, so each threshold's decisions are
     # contiguous, then viewed with the threshold axes last
     k = thr.ndim

@@ -37,10 +37,13 @@ __all__ = [
 # (two-sided 1e-4 per comparison).
 SUITE_Z = 3.89
 
-# Rows drawn, transformed and scored at a time.  A (4096, N <= 8) float64
-# block is at most 256 KB, so it stays in cache and its matmul stays below
-# OpenBLAS's threading threshold.  Blocks consume the Philox stream in
-# order, so they draw exactly what one call for all rows would.
+# Rows drawn, transformed and scored at a time.  For N <= 8 stations (the
+# registry's geometries have 3 or 4) a float64 block is at most 256 KB, so
+# it stays in cache and its matmul stays below OpenBLAS's threading
+# threshold; larger N gives larger blocks that may thread again, with the
+# same results.
+# Blocks consume the Philox stream in order, so they draw exactly what one
+# call for all rows would.
 _BLOCK_ROWS = 4096
 
 
