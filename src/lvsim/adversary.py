@@ -183,8 +183,11 @@ def _argmin_lex(points: np.ndarray, values: np.ndarray):
     """Minimum value; ties within 1e-12 broken by lexicographic (x, y)."""
     vmin = values.min()
     mask = values <= vmin + _TIE_EPS
-    cand = points[mask]
-    cand_vals = values[mask]
+    hits = mask.nonzero()[0]
+    if hits.size == 1:
+        return points[hits[0]], float(values[hits[0]])
+    cand = points[hits]
+    cand_vals = values[hits]
     order = np.lexsort((cand[:, 1], cand[:, 0]))
     best = order[0]
     return cand[best], float(cand_vals[best])
@@ -203,9 +206,9 @@ def optimize_true_location(
     iterative local refinement around the incumbent.
     """
     if objective == "rss":
-        evaluate = lambda pts: np.atleast_1d(kl_rss_minimized(pts, geometry, model))
+        evaluate = kl_rss_minimized
     elif objective == "drss":
-        evaluate = lambda pts: np.atleast_1d(kl_drss(pts, geometry, model))
+        evaluate = kl_drss
     else:
         raise SearchError(f"unknown objective: {objective!r}")
 
@@ -221,37 +224,58 @@ def optimize_true_location(
     bs = geometry.bs_positions
     r = config.min_distance
 
-    def feasible(pts):
-        # outside the open disc, and not exactly on a base station (undefined
-        # path loss); sqrt(dx*dx + dy*dy) is bit-identical to np.linalg.norm
-        x, y = pts[:, 0], pts[:, 1]
-        dx, dy = x - xc[0], y - xc[1]
-        ex, ey = x[:, None] - bs[:, 0], y[:, None] - bs[:, 1]
-        return (np.sqrt(dx * dx + dy * dy) >= r) & (ex * ex + ey * ey > 0.0).all(axis=1)
+    def feasible(xs, ys):
+        # (len(xs), len(ys)) mask of the tensor grid: outside the open disc,
+        # with sqrt(dx*dx + dy*dy) bit-identical to np.linalg.norm, and not
+        # exactly on a base station (undefined path loss).  ex*ex + ey*ey > 0
+        # fails only where both squares are 0, so the station test splits
+        # into column and row hits per station.
+        dx, dy = xs - xc[0], ys - xc[1]
+        ok = np.sqrt((dx * dx)[:, None] + dy * dy) >= r
+        ex, ey = xs[:, None] - bs[:, 0], ys[:, None] - bs[:, 1]
+        col, row = ex * ex == 0.0, ey * ey == 0.0
+        for k in (col.any(axis=0) & row.any(axis=0)).nonzero()[0]:
+            ok[np.ix_(col[:, k], row[:, k])] = False
+        return ok
 
     step = config.coarse_grid_step
+    xs = np.arange(xmin, xmax + 0.5 * step, step)
+    ys = np.arange(ymin, ymax + 0.5 * step, step)
     grid = np.empty((nx, ny, 2))
-    grid[..., 0] = np.arange(xmin, xmax + 0.5 * step, step)[:, None]
-    grid[..., 1] = np.arange(ymin, ymax + 0.5 * step, step)
-    pts = grid.reshape(-1, 2)
-    mask = feasible(pts)
+    grid[..., 0] = xs[:, None]
+    grid[..., 1] = ys
+    mask = feasible(xs, ys)
     if not mask.any():
         raise SearchError("feasible region is empty")
-    pts = pts[mask]
-    incumbent, value = _argmin_lex(pts, evaluate(pts))
+    pts = grid[mask]
+    incumbent, value = _argmin_lex(pts, evaluate(pts, geometry, model))
 
     # each pass: the 9x9 local grid in (x, y)-lexicographic order, then the
-    # incumbent, in one reused buffer
+    # incumbent, which stays feasible, in one reused buffer.  Its axes are
+    # np.linspace(incumbent - half, incumbent + half, 9), built with the same
+    # arithmetic, then clipped to the region.
     local = np.empty((_LOCAL_GRID * _LOCAL_GRID + 1, 2))
     local_grid = local[:-1].reshape(_LOCAL_GRID, _LOCAL_GRID, 2)
+    keep = np.ones(local.shape[0], dtype=bool)
+    ticks = np.arange(_LOCAL_GRID, dtype=float)[:, None]
     half = step
     for _ in range(config.refine_iterations):
-        axes = np.clip(np.linspace(incumbent - half, incumbent + half, _LOCAL_GRID), lo, hi)
+        start, stop = incumbent - half, incumbent + half
+        spacing = (stop - start) / (_LOCAL_GRID - 1)
+        if (spacing == 0.0).any():
+            axes = np.linspace(start, stop, _LOCAL_GRID)
+        else:
+            axes = ticks * spacing
+            axes += start
+            axes[-1] = stop
+        np.maximum(axes, lo, out=axes)
+        np.minimum(axes, hi, out=axes)
         local_grid[..., 0] = axes[:, 0, None]
         local_grid[..., 1] = axes[:, 1]
         local[-1] = incumbent
-        cand = local[feasible(local)]
-        incumbent, value = _argmin_lex(cand, evaluate(cand))
+        keep[:-1] = feasible(axes[:, 0], axes[:, 1]).ravel()
+        cand = local[keep]
+        incumbent, value = _argmin_lex(cand, evaluate(cand, geometry, model))
         half *= config.refine_shrink
 
     if objective == "rss":

@@ -101,22 +101,29 @@ class DetectorSpec:
 
 @dataclass(frozen=True)
 class RatePair:
-    """(false-positive rate, detection rate) at one threshold."""
+    """(false-positive rate, detection rate): floats at one threshold, or
+    equal-shape arrays at an array of thresholds."""
 
-    alpha: float
-    beta: float
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
+        rates = np.asarray((self.alpha, self.beta), dtype=float)
+        if not ((rates >= 0.0) & (rates <= 1.0)).all():
             raise DetectorError("rates must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Threshold-swept operating points, sorted by alpha ascending."""
+    """Threshold-swept operating points, sorted by alpha ascending.
+
+    ``alpha`` and ``beta`` are read-only float arrays, one entry per
+    threshold.
+    """
 
     thresholds: tuple  # ln(lambda), descending
-    points: tuple  # RatePair, alpha ascending
+    alpha: np.ndarray  # ascending
+    beta: np.ndarray
     auc: float  # exact: Φ(√(s/2))
     separation: float
 
@@ -163,25 +170,27 @@ def decide(spec: DetectorSpec, obs: np.ndarray, log_threshold=0.0):
     return np.moveaxis(np.less_equal.outer(thr, stat), range(k), range(-k, 0))
 
 
-def analytic_rates(spec: DetectorSpec, log_threshold=0.0):
+def analytic_rates(spec: DetectorSpec, log_threshold=0.0) -> RatePair:
     """Closed-form false-positive and detection rates of the detector.
 
-    A scalar ln λ gives one ``RatePair``; a 1-D array gives, in one pass, a
-    tuple of them equal to the scalar calls.
+    A scalar ln λ gives a ``RatePair`` of floats; an array gives, in one
+    pass, a ``RatePair`` of read-only arrays of its shape, element for
+    element equal to the scalar calls.
     """
     lam = np.asarray(log_threshold, dtype=float)
     s = spec.separation
     rt = np.sqrt(s)
-    alpha = q_function((lam + 0.5 * s) / rt)
-    beta = q_function((lam - 0.5 * s) / rt)
+    # alpha = Q((ln λ + s/2)/√s) and beta = Q((ln λ - s/2)/√s), in one call
+    rates = q_function(np.stack(((lam + 0.5 * s) / rt, (lam - 0.5 * s) / rt)))
     if lam.ndim == 0:
-        return RatePair(alpha=float(alpha), beta=float(beta))
-    return tuple(map(RatePair, alpha.tolist(), beta.tolist()))
+        return RatePair(alpha=float(rates[0]), beta=float(rates[1]))
+    rates.flags.writeable = False
+    return RatePair(alpha=rates[0], beta=rates[1])
 
 
 def exact_auc(separation: float) -> float:
-    """ROC area of the equal-covariance Gaussian LRT: Φ(√(s/2))."""
-    return float(q_function(-math.sqrt(0.5 * separation)))
+    """ROC area of the equal-covariance Gaussian LRT: Φ(√(s/2)) = Q(-√(s/2))."""
+    return 0.5 * math.erfc(-math.sqrt(0.5 * separation) / math.sqrt(2.0))
 
 
 def default_threshold_grid(separation: float, n: int = 201) -> np.ndarray:
@@ -195,9 +204,11 @@ def roc_sweep(spec: DetectorSpec, thresholds) -> RocCurve:
     thr = np.sort(np.asarray(thresholds, dtype=float))[::-1]
     if thr.size < 2:
         raise DetectorError("need at least two thresholds")
+    rates = analytic_rates(spec, thr)
     return RocCurve(
         thresholds=tuple(thr.tolist()),
-        points=analytic_rates(spec, thr),
+        alpha=rates.alpha,
+        beta=rates.beta,
         auc=exact_auc(spec.separation),
         separation=spec.separation,
     )
@@ -207,8 +218,8 @@ def roc_to_csv(curve: RocCurve) -> str:
     """Serialize a curve as CSV with a trailing metadata comment line."""
     buf = io.StringIO()
     buf.write("ln_lambda,alpha,beta\n")
-    for t, pt in zip(curve.thresholds, curve.points):
-        buf.write(f"{t:.12g},{pt.alpha:.12g},{pt.beta:.12g}\n")
+    for t, a, b in zip(curve.thresholds, curve.alpha.tolist(), curve.beta.tolist()):
+        buf.write(f"{t:.12g},{a:.12g},{b:.12g}\n")
     buf.write(f"# s={curve.separation:.12g} auc={curve.auc:.12g}\n")
     return buf.getvalue()
 
@@ -222,10 +233,13 @@ def roc_from_csv(text: str) -> RocCurve:
     if not meta.startswith("# s="):
         raise DetectorError("missing metadata line")
     fields = dict(part.split("=", 1) for part in meta[2:].split())
-    rows = [tuple(float(x) for x in ln.split(",")) for ln in lines[1:-1]]
+    table = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:-1]]).reshape(-1, 3)
+    table.flags.writeable = False
+    rates = RatePair(alpha=table[:, 1], beta=table[:, 2])
     return RocCurve(
-        thresholds=tuple(r[0] for r in rows),
-        points=tuple(RatePair(r[1], r[2]) for r in rows),
+        thresholds=tuple(table[:, 0].tolist()),
+        alpha=rates.alpha,
+        beta=rates.beta,
         auc=float(fields["auc"]),
         separation=float(fields["s"]),
     )

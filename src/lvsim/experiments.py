@@ -362,12 +362,13 @@ def run_scenario(
         h1_plan = plan("h1", _H1_STREAM_KEYS[mode], strategy)
         h1_rates = estimate_rate(h1_plan, (spec,), geometry, model, mc_thresholds)
         records = []
-        for lam, rates, h1_emp in zip(
-            mc_thresholds, analytic_rates(spec, mc_thresholds), h1_rates
+        rates = analytic_rates(spec, mc_thresholds)
+        for lam, alpha, beta, h1_emp in zip(
+            mc_thresholds, rates.alpha.tolist(), rates.beta.tolist(), h1_rates
         ):
             for hyp, emp, analytic in (
-                ("h0", next(h0_rates), rates.alpha),
-                ("h1", h1_emp, rates.beta),
+                ("h0", next(h0_rates), alpha),
+                ("h1", h1_emp, beta),
             ):
                 records.append(
                     {
@@ -544,13 +545,10 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
 
         # Matched-boost RSS and DRSS operating points coincide.
         rss_spec = detector_spec("rss", geometry, model, strat)
-        for pr, pd in zip(
-            analytic_rates(rss_spec, MC_LOG_THRESHOLDS),
-            analytic_rates(drss_spec, MC_LOG_THRESHOLDS),
-        ):
-            rate_identity = max(
-                rate_identity, abs(pr.alpha - pd.alpha), abs(pr.beta - pd.beta)
-            )
+        pr = analytic_rates(rss_spec, MC_LOG_THRESHOLDS)
+        pd = analytic_rates(drss_spec, MC_LOG_THRESHOLDS)
+        gap = np.abs(np.subtract((pr.alpha, pr.beta), (pd.alpha, pd.beta))).max()
+        rate_identity = max(rate_identity, float(gap))
 
         # Both location searches land in the same refined cell.
         region = default_search_region(geometry, r)

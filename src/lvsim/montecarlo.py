@@ -106,14 +106,15 @@ def estimate_rate(
     specs: Sequence[DetectorSpec],
     geometry: NetworkGeometry,
     model: ShadowingModel,
-    log_thresholds: Sequence[float] = (0.0,),
+    log_thresholds: float | Sequence[float] = (0.0,),
 ) -> tuple[EmpiricalRate, ...]:
     """Fraction of trials on which each spec accepts H1 at each ln λ.
 
     Draws ``plan.n_trials`` RSS observations once and scores every spec on
     them, one statistic per spec for all thresholds; DRSS specs see the
-    differenced observations. Returns one rate per (spec, threshold), spec
-    by spec, and draws nothing when there is no spec. Observations are
+    differenced observations. A scalar ln λ counts as one threshold.
+    Returns one rate per (spec, threshold), spec by spec, and draws
+    nothing when there is no spec. Observations are
     drawn and scored in blocks of ``_BLOCK_ROWS`` rows, so no
     (n_trials, N) array is ever held.
     """
@@ -122,13 +123,14 @@ def estimate_rate(
     n = plan.n_trials
     mean = _rss_mean(plan, geometry)
     rng = np.random.Generator(np.random.Philox(plan.seed))
+    thresholds = np.atleast_1d(np.asarray(log_thresholds, dtype=float))
     drss = any(spec.mode == "drss" for spec in specs)
-    counts = np.zeros((len(specs), len(log_thresholds)), dtype=np.int64)
+    counts = np.zeros((len(specs), thresholds.size), dtype=np.int64)
     for start in range(0, n, _BLOCK_ROWS):
         y = sample_observations(model, mean, rng, min(_BLOCK_ROWS, n - start))
         d = drss_transform(y) if drss else None
         for spec, count in zip(specs, counts):
-            accepted = decide(spec, d if spec.mode == "drss" else y, log_thresholds)
+            accepted = decide(spec, d if spec.mode == "drss" else y, thresholds)
             count += np.count_nonzero(accepted, axis=0)
     rates = []
     for rate in (counts / n).ravel().tolist():

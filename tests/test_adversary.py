@@ -314,3 +314,105 @@ class TestSearchEdges:
             strat = optimize_true_location(objective, cfg, fig1_geometry, fig1_model)
             assert strat.true_location == (150.0, 5.0)
             assert math.dist(strat.true_location, CLAIMED) == 100.0
+
+
+def recorded_search(objective, config, geometry, model, monkeypatch):
+    """Run the search and return its strategy and the points of every KL call.
+
+    The first call scores the coarse candidates, each later one the
+    candidates of one refinement pass.
+    """
+    name = "kl_rss_minimized" if objective == "rss" else "kl_drss"
+    original = getattr(adversary, name)
+    calls = []
+
+    def recording(x_t, *args):
+        calls.append(np.array(x_t, dtype=float))
+        return original(x_t, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(adversary, name, recording)
+        strat = optimize_true_location(objective, config, geometry, model)
+    return strat, calls
+
+
+def coarse_nodes(config):
+    xmin, xmax, ymin, ymax = config.region
+    step = config.coarse_grid_step
+    xs = np.arange(xmin, xmax + 0.5 * step, step)
+    ys = np.arange(ymin, ymax + 0.5 * step, step)
+    return np.column_stack([np.repeat(xs, ys.size), np.tile(ys, xs.size)])
+
+
+class TestSeparableFeasibility:
+    """Station exclusion tested per axis: a node is dropped only when both
+    its coordinates coincide with one station's in floating point."""
+
+    CFG = SearchConfig(
+        min_distance=100.0, region=(-300.0, 300.0, -100.0, 100.0), refine_iterations=0
+    )
+
+    @pytest.mark.parametrize(
+        "station",
+        [(0.0, 10.0), (-12.5, 50.0)],
+        ids=["shares-x-column", "shares-y-row"],
+    )
+    def test_station_on_one_axis_excludes_no_node(self, station, monkeypatch):
+        geometry = make_geometry([[-250.0, 10.0], list(station), [250.0, -10.0]])
+        model = build_covariance(geometry, 7.5, 50.0)
+        nodes = coarse_nodes(self.CFG)
+        assert np.any(nodes[:, 0] == station[0]) != np.any(nodes[:, 1] == station[1])
+        outside = nodes[np.linalg.norm(nodes - CLAIMED, axis=-1) >= self.CFG.min_distance]
+        for objective in ("rss", "drss"):
+            _, calls = recorded_search(objective, self.CFG, geometry, model, monkeypatch)
+            np.testing.assert_array_equal(calls[0], outside)
+
+    def test_underflowing_offset_is_skipped(self, monkeypatch):
+        # 1e-170 squared underflows to 0, so the node (-200, 0) counts as
+        # lying on the station; scoring it would raise GeometryError in
+        # mean_vector
+        geometry = make_geometry([[-250.0, 10.0], [-200.0, 1e-170], [250.0, 10.0]])
+        model = build_covariance(geometry, 7.5, 50.0)
+        assert (0.0 - 1e-170) ** 2 == 0.0
+        nodes = coarse_nodes(self.CFG)
+        outside = nodes[np.linalg.norm(nodes - CLAIMED, axis=-1) >= self.CFG.min_distance]
+        want = outside[np.any(outside != (-200.0, 0.0), axis=1)]
+        assert len(want) == len(outside) - 1
+        for objective in ("rss", "drss"):
+            strat, calls = recorded_search(objective, self.CFG, geometry, model, monkeypatch)
+            np.testing.assert_array_equal(calls[0], want)
+            assert math.isfinite(strat.kl_nats)
+            strat = optimize_true_location(
+                objective, replace(self.CFG, refine_iterations=6), geometry, model
+            )
+            assert math.isfinite(strat.kl_nats)
+
+    def test_station_on_refinement_node_skipped_incumbent_kept(self, monkeypatch):
+        # the geometry of TestSearchEdges: the first refinement pass has a
+        # node on the station at (0, -50)
+        station = (0.0, -50.0)
+        geometry = make_geometry([[-250.0, 0.0], list(station), [250.0, 50.0]], claimed=[50.0, 0.0])
+        model = build_covariance(geometry, 6.0, 50.0)
+        cfg = SearchConfig(
+            min_distance=100.0, region=(-400.0, 400.0, -400.0, 400.0), coarse_grid_step=200.0
+        )
+        for objective in ("rss", "drss"):
+            strat, calls = recorded_search(objective, cfg, geometry, model, monkeypatch)
+            assert len(calls) == 1 + cfg.refine_iterations
+            incumbents = [
+                optimize_true_location(
+                    objective, replace(cfg, refine_iterations=k), geometry, model
+                ).true_location
+                for k in range(cfg.refine_iterations + 1)
+            ]
+            assert incumbents[-1] == strat.true_location
+            first = calls[1]
+            # 9 x 9 nodes around the coarse optimum, less the station, plus
+            # the incumbent appended last
+            x0, y0 = incumbents[0]
+            axis_x = np.linspace(x0 - 200.0, x0 + 200.0, 9)
+            axis_y = np.linspace(y0 - 200.0, y0 + 200.0, 9)
+            assert station[0] in axis_x and station[1] in axis_y
+            assert not np.any(np.all(first == station, axis=1))
+            for k, cand in enumerate(calls[1:]):
+                assert tuple(cand[-1]) == incumbents[k]

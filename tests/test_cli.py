@@ -103,9 +103,10 @@ class TestMain:
         assert code == 0
         rss = roc_from_csv((tmp_path / "fig3" / "rss_roc.csv").read_text())
         drss = roc_from_csv((tmp_path / "fig3" / "drss_roc.csv").read_text())
-        for a, b in zip(rss.points, drss.points):
-            assert a.alpha == pytest.approx(b.alpha, abs=1e-9)
-            assert a.beta == pytest.approx(b.beta, abs=1e-9)
+        for a, b in zip(rss.alpha, drss.alpha):
+            assert a == pytest.approx(b, abs=1e-9)
+        for a, b in zip(rss.beta, drss.beta):
+            assert a == pytest.approx(b, abs=1e-9)
 
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["roc", "--scenario", "fig3", "--modes", "rss"]
@@ -118,8 +119,8 @@ class TestMain:
     def test_emitted_csv_satisfies_curve_invariants(self, tmp_path):
         main(["roc", "--scenario", "fig2", "--modes", "drss", "-o", str(tmp_path)])
         curve = roc_from_csv((tmp_path / "fig2" / "drss_roc.csv").read_text())
-        alphas = [p.alpha for p in curve.points]
-        betas = [p.beta for p in curve.points]
+        alphas = curve.alpha.tolist()
+        betas = curve.beta.tolist()
         assert alphas == sorted(alphas)
         assert betas == sorted(betas)
         assert list(curve.thresholds) == sorted(curve.thresholds, reverse=True)

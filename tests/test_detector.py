@@ -4,10 +4,12 @@ from hypothesis import given, strategies as st
 from scipy.stats import multivariate_normal
 
 from lvsim.channel import build_covariance, mean_vector, sample_observations
+import lvsim.detector as detector
 from lvsim.detector import (
     DegenerateSpecError,
     DetectorError,
     DetectorSpec,
+    RatePair,
     analytic_rates,
     build_d_matrix,
     decide,
@@ -215,13 +217,13 @@ class TestRocSweep:
         tiny = make_spec(fig1_model.covariance, mu1=np.full(3, 1e-6))
         curve = roc_sweep(tiny, default_threshold_grid(tiny.separation))
         assert curve.auc == pytest.approx(0.5, abs=1e-3)
-        for pt in curve.points:
-            assert pt.beta == pytest.approx(pt.alpha, abs=1e-3)
+        for alpha, beta in zip(curve.alpha, curve.beta):
+            assert beta == pytest.approx(alpha, abs=1e-3)
 
     def test_points_sorted_by_alpha(self, fig1_model):
         spec = make_spec(fig1_model.covariance)
         curve = roc_sweep(spec, default_threshold_grid(spec.separation, 41))
-        alphas = [p.alpha for p in curve.points]
+        alphas = curve.alpha.tolist()
         assert alphas == sorted(alphas)
 
     def test_csv_round_trip(self, fig1_model):
@@ -230,9 +232,62 @@ class TestRocSweep:
         back = roc_from_csv(roc_to_csv(curve))
         assert back.auc == pytest.approx(curve.auc, rel=1e-11)
         assert back.separation == pytest.approx(curve.separation, rel=1e-11)
-        for a, b in zip(curve.points, back.points):
-            assert a.alpha == pytest.approx(b.alpha, rel=1e-11, abs=1e-15)
-            assert a.beta == pytest.approx(b.beta, rel=1e-11, abs=1e-15)
+        for a, b in zip(curve.alpha, back.alpha):
+            assert a == pytest.approx(b, rel=1e-11, abs=1e-15)
+        for a, b in zip(curve.beta, back.beta):
+            assert a == pytest.approx(b, rel=1e-11, abs=1e-15)
+
+    def test_one_tail_call_and_no_per_threshold_pairs(self, fig1_model, monkeypatch):
+        spec = make_spec(fig1_model.covariance)
+        thresholds = default_threshold_grid(spec.separation)
+        tails, pairs = [], []
+
+        def counted_q(x):
+            tails.append(np.shape(x))
+            return q_function(x)
+
+        def counted_pair(*args, **kwargs):
+            pairs.append(RatePair(*args, **kwargs))
+            return pairs[-1]
+
+        monkeypatch.setattr(detector, "q_function", counted_q)
+        monkeypatch.setattr(detector, "RatePair", counted_pair)
+        curve = roc_sweep(spec, thresholds)
+        assert tails == [(2, thresholds.size)]
+        assert len(pairs) == 1
+        assert curve.alpha is pairs[0].alpha and curve.beta is pairs[0].beta
+
+    def test_rate_arrays_read_only_and_equal_scalar_calls(self, fig1_model):
+        spec = make_spec(fig1_model.covariance)
+        curve = roc_sweep(spec, default_threshold_grid(spec.separation, 41))
+        for rates in (curve.alpha, curve.beta):
+            assert rates.dtype == np.float64 and rates.shape == (41,)
+            assert not rates.flags.writeable
+            with pytest.raises(ValueError):
+                rates[0] = 0.5
+        for lam, alpha, beta in zip(curve.thresholds, curve.alpha, curve.beta):
+            pair = analytic_rates(spec, lam)
+            assert (alpha, beta) == (pair.alpha, pair.beta)
+            assert type(pair.alpha) is float and type(pair.beta) is float
+
+    def test_csv_arrays_read_only_and_validated(self, fig1_model):
+        spec = make_spec(fig1_model.covariance)
+        text = roc_to_csv(roc_sweep(spec, np.linspace(-3, 3, 13)))
+        back = roc_from_csv(text)
+        assert not back.alpha.flags.writeable and not back.beta.flags.writeable
+        first = text.splitlines()[1].split(",")
+        with pytest.raises(DetectorError):
+            roc_from_csv(text.replace(",".join(first), ",".join([first[0], "1.5", first[2]])))
+
+
+class TestRatePair:
+    def test_out_of_range_rejected_in_one_check(self):
+        for alpha, beta in ((1.5, 0.5), (0.5, -0.1), (np.nan, 0.5)):
+            with pytest.raises(DetectorError):
+                RatePair(alpha, beta)
+        with pytest.raises(DetectorError):
+            RatePair(np.array([0.1, 0.2]), np.array([0.3, 1.0 + 1e-12]))
+        RatePair(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 
 
 @given(st.floats(-8.0, 8.0))

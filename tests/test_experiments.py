@@ -87,9 +87,10 @@ class TestRunScenario:
     def test_fig3_modes_identical(self, fig3_result):
         rss = fig3_result.modes["rss"].roc
         drss = fig3_result.modes["drss"].roc
-        for a, b in zip(rss.points, drss.points):
-            assert a.alpha == pytest.approx(b.alpha, abs=1e-9)
-            assert a.beta == pytest.approx(b.beta, abs=1e-9)
+        for a, b in zip(rss.alpha, drss.alpha):
+            assert a == pytest.approx(b, abs=1e-9)
+        for a, b in zip(rss.beta, drss.beta):
+            assert a == pytest.approx(b, abs=1e-9)
 
     def test_fig3_mc_within_gate(self, fig3_result):
         for mr in fig3_result.modes.values():

@@ -149,6 +149,20 @@ class TestEstimateRate:
         for (spec, lam), emp in zip(pairs, joint):
             assert emp == estimate_rate(plan, (spec,), scenario.geometry, model, (lam,))[0]
 
+    @pytest.mark.parametrize("lam", [0.0, -1.5, np.float64(2.0)])
+    def test_scalar_threshold_is_one_threshold(self, fig2_setup, lam):
+        scenario, model, strategy = fig2_setup
+        specs = tuple(
+            detector_spec(mode, scenario.geometry, model, strategy) for mode in ("rss", "drss")
+        )
+        for plan in (
+            TrialPlan(5000, seed=7, hypothesis="h0"),
+            TrialPlan(5000, seed=8, hypothesis="h1", strategy=strategy),
+        ):
+            scalar = estimate_rate(plan, specs, scenario.geometry, model, lam)
+            assert len(scalar) == len(specs)
+            assert scalar == estimate_rate(plan, specs, scenario.geometry, model, (lam,))
+
     def test_h1_without_strategy_rejected(self):
         with pytest.raises(PlanError):
             TrialPlan(100, seed=0, hypothesis="h1")

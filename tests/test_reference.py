@@ -32,6 +32,7 @@ from lvsim.adversary import (
 from lvsim.channel import GeometryError, build_covariance, mean_vector, sample_observations
 from lvsim.detector import (
     DetectorSpec,
+    RatePair,
     analytic_rates,
     build_d_matrix,
     default_threshold_grid,
@@ -154,10 +155,10 @@ def test_q_function_matches_scipy():
 def test_array_rates_equal_scalar_calls(fig1_model):
     spec = DetectorSpec("rss", np.zeros(3), np.arange(1.0, 4.0), fig1_model.covariance)
     lams = np.concatenate((default_threshold_grid(spec.separation), [-1e6, 0.0, 1e6]))
-    pairs = analytic_rates(spec, lams)
-    assert len(pairs) == lams.size
-    for lam, pair in zip(lams, pairs):
-        assert pair == analytic_rates(spec, float(lam))
+    rates = analytic_rates(spec, lams)
+    assert rates.alpha.shape == rates.beta.shape == lams.shape
+    for lam, alpha, beta in zip(lams, rates.alpha.tolist(), rates.beta.tolist()):
+        assert RatePair(alpha, beta) == analytic_rates(spec, float(lam))
 
 
 @pytest.fixture(scope="module")
@@ -180,8 +181,8 @@ def test_exact_auc_is_normal_cdf(registry_specs):
 def test_trapezoid_auc_lies_just_below_exact(registry_specs):
     for spec in registry_specs:
         curve = roc_sweep(spec, default_threshold_grid(spec.separation))
-        a = np.concatenate(([0.0], [p.alpha for p in curve.points], [1.0]))
-        b = np.concatenate(([0.0], [p.beta for p in curve.points], [1.0]))
+        a = np.concatenate(([0.0], curve.alpha, [1.0]))
+        b = np.concatenate(([0.0], curve.beta, [1.0]))
         trapezoid = float(np.sum(np.diff(a) * (b[1:] + b[:-1]) / 2.0))
         assert curve.auc == exact_auc(spec.separation)
         assert trapezoid < curve.auc < trapezoid + 1e-4
@@ -286,3 +287,37 @@ def test_search_equals_reference_bitwise(deployments, monkeypatch):
             assert got.kl_nats == want.kl_nats
             assert got.power_boost_db == want.power_boost_db
             assert got.power_boost_relevant == want.power_boost_relevant
+
+
+@pytest.mark.parametrize("objective", ["rss", "drss"])
+def test_search_scores_reference_candidates(deployments, objective, monkeypatch):
+    """Every KL call of the search gets the reference's points, bit for bit.
+
+    The last case has a denormal grid step: late refinement passes have a
+    spacing that underflows to 0, where np.linspace scales by the span.
+    """
+    name = "kl_rss_minimized" if objective == "rss" else "kl_drss"
+    original = getattr(adversary, name)
+    calls = []
+
+    def recording(x_t, *args):
+        calls.append(np.array(x_t))
+        return original(x_t, *args)
+
+    monkeypatch.setattr(adversary, name, recording)
+    monkeypatch.setitem(globals(), name, recording)
+    tiny = 3 * 5e-324
+    cases = [(g, m, SearchConfig(min_distance=r)) for g, m, r in deployments[:30]]
+    g, m, _ = deployments[0]
+    cases.append((g, m, SearchConfig(10.0, (-4 * tiny, 4 * tiny, -4 * tiny, 4 * tiny), tiny)))
+    for geometry, model, config in cases:
+        calls.clear()
+        optimize_true_location(objective, config, geometry, model)
+        got = list(calls)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(adversary, "mean_vector", reference_mean_vector)
+            reference_search(objective, config, geometry, model)
+        assert len(got) == len(calls) == 1 + config.refine_iterations
+        for a, b in zip(got, calls):
+            np.testing.assert_array_equal(a, b)
