@@ -121,10 +121,6 @@ class ShadowingModel:
     d_whitener: np.ndarray
     diag_jitter: float = 0.0
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Apply the inverse covariance to ``b`` (columns or a vector)."""
-        return self.whitener.T @ (self.whitener @ b)
-
 
 def mean_vector(geometry: NetworkGeometry, location) -> np.ndarray:
     """Deterministic received power (dB) at every base station.

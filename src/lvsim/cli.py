@@ -3,24 +3,22 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .adversary import SearchConfig, SearchError
-from .channel import GeometryError, NetworkGeometry
+from .channel import GeometryError
 from .detector import roc_to_csv
 from .experiments import (
-    MC_LOG_THRESHOLDS,
     AttackPolicy,
     Scenario,
     ScenarioError,
     builtin_scenario,
     builtin_scenarios,
+    deployment_geometry,
+    roc_stage,
     run_scenario,
     verify_theorems,
 )
@@ -30,57 +28,71 @@ __all__ = ["ScenarioFileError", "parse_scenario_file", "main"]
 
 _VERIFY_TRIALS = 100  # random geometries of `verify` by default, of `reproduce` always
 
-# Shared defaults applied when a scenario file omits the common keys.
-_DEFAULTS = {
-    "claimed": (50.0, 5.0),
-    "ref_power_db": -10.0,
-    "ref_distance_m": 1.0,
-    "path_loss_exponent": 3.0,
-}
-
-_SCALAR_KEYS = {
-    "name",
-    "claimed",
-    "ref_power_db",
-    "ref_distance_m",
-    "path_loss_exponent",
-    "sigma_db",
-    "correlation_distance",
-    "min_distance",
-    "attack",
-    "true_location",
-    "power_boost_db",
-    "modes",
-    "thresholds",
-    "mc_trials",
-    "mc_seed",
-    "region",
-    "coarse_grid_step",
-    "refine_iterations",
-    "refine_shrink",
-    "dc_values",
-    "r_values",
-}
-_REPEATED_KEYS = {"bs", "alt_location"}
-
 
 class ScenarioFileError(ValueError):
     """Malformed scenario file; message carries line/field diagnostics."""
 
 
-def _parse_floats(value: str, key: str, line_no: int, count: int | None = None):
-    parts = value.replace(",", " ").split()
-    try:
-        nums = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ScenarioFileError(
-            f"line {line_no}: key '{key}' expects numbers, got {value!r}"
-        ) from exc
-    if count is not None and len(nums) != count:
-        raise ScenarioFileError(
-            f"line {line_no}: key '{key}' expects {count} numbers, got {len(nums)}"
-        )
-    return nums
+def _numbers(count=None):
+    def parse(value):
+        try:
+            nums = tuple(float(p) for p in value.replace(",", " ").split())
+        except ValueError:
+            raise ValueError(f"expects numbers, got {value!r}") from None
+        if count is not None and len(nums) != count:
+            raise ValueError(f"expects {count} numbers, got {len(nums)}")
+        return nums
+
+    return parse
+
+
+def _number(cast):
+    def parse(value):
+        try:
+            return cast(value)
+        except ValueError:
+            raise ValueError("expects a number") from None
+
+    return parse
+
+
+def _words(value):
+    return tuple(value.replace(",", " ").split())
+
+
+# Scenario-file key -> (constructor it feeds, field, value parser).  Only the
+# keys a file sets are passed on, so each omitted key takes the default of
+# deployment_geometry, AttackPolicy, SearchConfig or Scenario.
+_KEYS = {
+    "name": ("scenario", "name", str),
+    "bs": ("geometry", "bs", _numbers(2)),
+    "claimed": ("geometry", "claimed", _numbers(2)),
+    "ref_power_db": ("geometry", "ref_power_db", _number(float)),
+    "ref_distance_m": ("geometry", "ref_distance_m", _number(float)),
+    "path_loss_exponent": ("geometry", "path_loss_exponent", _number(float)),
+    "sigma_db": ("scenario", "sigma_db", _number(float)),
+    "correlation_distance": ("scenario", "correlation_distance", _number(float)),
+    "min_distance": ("scenario", "min_distance", _number(float)),
+    "attack": ("attack", "kind", str),
+    "true_location": ("attack", "true_location", _numbers(2)),
+    "power_boost_db": ("attack", "power_boost_db", _number(float)),
+    "modes": ("scenario", "modes", _words),
+    "thresholds": ("scenario", "thresholds", _numbers()),
+    "mc_trials": ("scenario", "mc_trials", _number(int)),
+    "mc_seed": ("scenario", "mc_seed", _number(int)),
+    "region": ("search", "region", _numbers(4)),
+    "coarse_grid_step": ("search", "coarse_grid_step", _number(float)),
+    "refine_iterations": ("search", "refine_iterations", _number(int)),
+    "refine_shrink": ("search", "refine_shrink", _number(float)),
+    "dc_values": ("scenario", "dc_values", _numbers()),
+    "r_values": ("scenario", "r_values", _numbers()),
+    "alt_location": ("scenario", "alt_locations", _numbers(2)),
+}
+_REPEATED_KEYS = {"bs", "alt_location"}
+# the Scenario fields without a default that a file sets directly
+_REQUIRED_KEYS = tuple(
+    f.name for f in fields(Scenario) if f.default is MISSING and f.name in _KEYS
+)
 
 
 def parse_scenario_file(path: str | Path) -> Scenario:
@@ -89,113 +101,52 @@ def parse_scenario_file(path: str | Path) -> Scenario:
     Unknown keys are rejected; invariant violations raise with the name of
     the violated constraint.
     """
-    path = Path(path)
-    scalars: dict = {}
-    repeated: dict = {k: [] for k in _REPEATED_KEYS}
-    lines: dict = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    args = {"geometry": {}, "attack": {}, "search": {}, "scenario": {}}
+    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ScenarioFileError(f"line {line_no}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _REPEATED_KEYS:
-            repeated[key].append((line_no, value))
-        elif key in _SCALAR_KEYS:
-            if key in scalars:
-                raise ScenarioFileError(f"line {line_no}: duplicate key '{key}'")
-            scalars[key] = value
-            lines[key] = line_no
-        else:
+        if key not in _KEYS:
             raise ScenarioFileError(f"line {line_no}: unknown key '{key}'")
-
-    def require(key, parse=None):
-        if key not in scalars:
-            raise ScenarioFileError(f"missing required key '{key}'")
-        return scalars[key] if parse is None else parse(key)
-
-    def floats(key, count=None, default=None):
-        if key not in scalars:
-            return default
-        return _parse_floats(scalars[key], key, lines[key], count)
-
-    def number(key, default=None, cast=float):
-        if key not in scalars:
-            return default
+        target, name, parse = _KEYS[key]
+        if key not in _REPEATED_KEYS and name in args[target]:
+            raise ScenarioFileError(f"line {line_no}: duplicate key '{key}'")
         try:
-            return cast(scalars[key])
+            parsed = parse(value)
         except ValueError as exc:
-            raise ScenarioFileError(
-                f"line {lines[key]}: key '{key}' expects a number"
-            ) from exc
+            raise ScenarioFileError(f"line {line_no}: key '{key}' {exc}") from exc
+        if key in _REPEATED_KEYS:
+            parsed = args[target].get(name, ()) + (parsed,)
+        args[target][name] = parsed
 
-    name = require("name")
-    if not repeated["bs"]:
+    scenario = args["scenario"]
+    for key in _REQUIRED_KEYS:
+        if key not in scenario:
+            raise ScenarioFileError(f"missing required key '{key}'")
+    if "bs" not in args["geometry"]:
         raise ScenarioFileError("at least two 'bs' entries are required")
-    bs = [_parse_floats(v, "bs", ln, 2) for ln, v in repeated["bs"]]
-
-    try:
-        geometry = NetworkGeometry(
-            bs_positions=np.asarray(bs, dtype=float),
-            claimed_location=np.asarray(floats("claimed", 2, _DEFAULTS["claimed"])),
-            ref_power_db=number("ref_power_db", _DEFAULTS["ref_power_db"]),
-            ref_distance_m=number("ref_distance_m", _DEFAULTS["ref_distance_m"]),
-            path_loss_exponent=number(
-                "path_loss_exponent", _DEFAULTS["path_loss_exponent"]
-            ),
+    scenario["geometry"] = _build(
+        deployment_geometry, args["geometry"], GeometryError, "invalid geometry: "
+    )
+    if args["attack"]:
+        scenario["attack"] = _build(AttackPolicy, args["attack"], ScenarioError, "")
+    if args["search"]:
+        search = {"min_distance": scenario["min_distance"], **args["search"]}
+        scenario["search"] = _build(
+            SearchConfig, search, SearchError, "invalid search configuration: "
         )
-    except GeometryError as exc:
-        raise ScenarioFileError(f"invalid geometry: {exc}") from exc
+    return _build(Scenario, scenario, ScenarioError, "invalid scenario: ")
 
-    attack_kind = scalars.get("attack", "optimal")
-    true_location = floats("true_location", 2)
+
+def _build(constructor, kwargs: dict, error, prefix: str):
+    """``constructor(**kwargs)``, with its ``error`` re-raised as a ScenarioFileError."""
     try:
-        attack = AttackPolicy(
-            kind=attack_kind,
-            true_location=true_location,
-            power_boost_db=number("power_boost_db"),
-        )
-    except ScenarioError as exc:
-        raise ScenarioFileError(str(exc)) from exc
-
-    modes = tuple(scalars.get("modes", "rss,drss").replace(",", " ").split())
-
-    search = None
-    search_keys = {"region", "coarse_grid_step", "refine_iterations", "refine_shrink"}
-    if search_keys & set(scalars):
-        try:
-            search = SearchConfig(
-                min_distance=number("min_distance", cast=float),
-                region=floats("region", 4),
-                coarse_grid_step=number("coarse_grid_step", 25.0),
-                refine_iterations=number("refine_iterations", 6, cast=int),
-                refine_shrink=number("refine_shrink", 0.5),
-            )
-        except SearchError as exc:
-            raise ScenarioFileError(f"invalid search configuration: {exc}") from exc
-
-    try:
-        return Scenario(
-            name=name,
-            geometry=geometry,
-            sigma_db=require("sigma_db", number),
-            correlation_distance=require("correlation_distance", number),
-            min_distance=require("min_distance", number),
-            attack=attack,
-            modes=modes,
-            thresholds=floats("thresholds"),
-            mc_trials=number("mc_trials", 100_000, cast=int),
-            mc_seed=number("mc_seed", 1, cast=int),
-            search=search,
-            dc_values=floats("dc_values"),
-            r_values=floats("r_values"),
-            alt_locations=tuple(
-                _parse_floats(v, "alt_location", ln, 2) for ln, v in repeated["alt_location"]
-            ),
-        )
-    except ScenarioError as exc:
-        raise ScenarioFileError(f"invalid scenario: {exc}") from exc
+        return constructor(**kwargs)
+    except error as exc:
+        raise ScenarioFileError(prefix + str(exc)) from exc
 
 
 def _load_scenario(source: str) -> Scenario:
@@ -229,23 +180,13 @@ def _outdir(args) -> Path:
 
 
 def _cmd_roc(args) -> int:
-    from .detector import default_threshold_grid, roc_sweep
-    from .experiments import detector_spec, resolve_attack
-
     scenario = _apply_overrides(_load_scenario(args.scenario), args)
-    modes = tuple(args.modes.replace(",", " ").split()) if args.modes else scenario.modes
+    modes = _words(args.modes) if args.modes else scenario.modes
     model = scenario.shadowing()
     outdir = _outdir(args) / scenario.name
     outdir.mkdir(parents=True, exist_ok=True)
     for mode in modes:
-        strategy = resolve_attack(scenario, mode, model)
-        spec = detector_spec(mode, scenario.geometry, model, strategy)
-        thresholds = (
-            scenario.thresholds
-            if scenario.thresholds is not None
-            else default_threshold_grid(spec.separation)
-        )
-        curve = roc_sweep(spec, thresholds)
+        _, _, curve = roc_stage(scenario, mode, model)
         path = outdir / f"{mode}_roc.csv"
         path.write_text(roc_to_csv(curve))
         print(f"{scenario.name} {mode}: auc={curve.auc:.12g} -> {path}")
@@ -272,17 +213,15 @@ def _cmd_attack(args) -> int:
 def _cmd_mc(args) -> int:
     scenario = _apply_overrides(_load_scenario(args.scenario), args)
     result = run_scenario(scenario, outdir=_outdir(args))
-    worst = 0.0
     for mr in result.modes.values():
         for rec in mr.mc_records:
-            worst = max(worst, rec["sigma"])
             print(
                 f"{rec['scenario']} {rec['mode']} lnλ={rec['ln_lambda']:+.1f} "
                 f"{rec['hypothesis']}: rate={rec['rate']:.6g} "
                 f"analytic={rec['analytic']:.6g} ({rec['sigma']:.2f}σ)"
             )
-    print(f"worst deviation: {worst:.2f}σ (gate {SUITE_Z}σ)")
-    return 0 if worst <= SUITE_Z else 2
+    print(f"worst deviation: {result.worst_sigma:.2f}σ (gate {SUITE_Z}σ)")
+    return 0 if result.worst_sigma <= SUITE_Z else 2
 
 
 def _cmd_verify(args) -> int:
@@ -304,11 +243,7 @@ def _cmd_reproduce(args) -> int:
     failed = False
     for scenario in builtin_scenarios():
         scenario = _apply_overrides(scenario, args)
-        result = run_scenario(scenario, outdir=outdir)
-        worst = max(
-            (rec["sigma"] for mr in result.modes.values() for rec in mr.mc_records),
-            default=0.0,
-        )
+        worst = run_scenario(scenario, outdir=outdir).worst_sigma
         print(f"{scenario.name}: worst MC deviation {worst:.2f}σ")
         failed = failed or worst > SUITE_Z
     report = verify_theorems(

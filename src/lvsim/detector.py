@@ -99,18 +99,29 @@ class DetectorSpec:
         return log_threshold + 0.5 * self._direction @ (self.mu1 + self.mu0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatePair:
     """(false-positive rate, detection rate): floats at one threshold, or
-    equal-shape arrays at an array of thresholds."""
+    equal-shape arrays at an array of thresholds.
+
+    Pairs compare by value, field by field; they are unhashable, since the
+    fields may be arrays.
+    """
 
     alpha: float | np.ndarray
     beta: float | np.ndarray
+
+    __hash__ = None
 
     def __post_init__(self):
         rates = np.asarray((self.alpha, self.beta), dtype=float)
         if not ((rates >= 0.0) & (rates <= 1.0)).all():
             raise DetectorError("rates must lie in [0, 1]")
+
+    def __eq__(self, other):
+        if not isinstance(other, RatePair):
+            return NotImplemented
+        return np.array_equal(self.alpha, other.alpha) and np.array_equal(self.beta, other.beta)
 
 
 @dataclass(frozen=True)

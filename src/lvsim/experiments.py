@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .detector import (
     roc_sweep,
     roc_to_csv,
 )
-from .montecarlo import SUITE_Z, TrialPlan, _is_count, agreement_sigma, estimate_rate
+from .montecarlo import TrialPlan, _is_count, agreement_sigma, estimate_rate
 
 __all__ = [
     "ScenarioError",
@@ -48,8 +48,10 @@ __all__ = [
     "VerificationReport",
     "builtin_scenarios",
     "builtin_scenario",
+    "deployment_geometry",
     "detector_spec",
     "resolve_attack",
+    "roc_stage",
     "optimal_auc",
     "run_scenario",
     "verify_theorems",
@@ -61,11 +63,8 @@ MC_LOG_THRESHOLDS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 # Spawn keys of the per-mode H1 Monte Carlo streams; H0 uses key 0.
 _H1_STREAM_KEYS = {"rss": 1, "drss": 2}
 
-# Deployment-wide constants shared by every published configuration.
+# Claimed location shared by every published configuration.
 _CLAIMED = (50.0, 5.0)
-_REF_POWER_DB = -10.0
-_REF_DISTANCE_M = 1.0
-_PATH_LOSS_EXPONENT = 3.0
 
 
 class ScenarioError(ValueError):
@@ -115,10 +114,10 @@ class Scenario:
     def __post_init__(self):
         if not 0.0 < self.min_distance < math.inf:
             raise ScenarioError("min_distance must be positive and finite")
-        if not _is_count(self.mc_trials):
-            raise ScenarioError(f"mc_trials must be an integer, got {self.mc_trials!r}")
-        if self.mc_trials < 1:
-            raise ScenarioError("mc_trials must be at least 1")
+        if not (_is_count(self.mc_trials) and self.mc_trials >= 1):
+            raise ScenarioError(f"mc_trials must be a positive integer, got {self.mc_trials!r}")
+        if not (_is_count(self.mc_seed) and self.mc_seed >= 0):
+            raise ScenarioError(f"mc_seed must be a nonnegative integer, got {self.mc_seed!r}")
         for mode in self.modes:
             if mode not in ("rss", "drss"):
                 raise ScenarioError(f"unknown mode: {mode!r}")
@@ -142,13 +141,21 @@ class Scenario:
         return build_covariance(self.geometry, self.sigma_db, dc)
 
 
-def _geometry(bs) -> NetworkGeometry:
+def deployment_geometry(
+    bs,
+    claimed=_CLAIMED,
+    ref_power_db: float = -10.0,
+    ref_distance_m: float = 1.0,
+    path_loss_exponent: float = 3.0,
+) -> NetworkGeometry:
+    """Stations ``bs`` in the published deployment; every other value has its
+    published default (claimed location, 1 m reference power, path-loss law)."""
     return NetworkGeometry(
         bs_positions=np.asarray(bs, dtype=float),
-        claimed_location=np.asarray(_CLAIMED),
-        ref_power_db=_REF_POWER_DB,
-        ref_distance_m=_REF_DISTANCE_M,
-        path_loss_exponent=_PATH_LOSS_EXPONENT,
+        claimed_location=np.asarray(claimed),
+        ref_power_db=ref_power_db,
+        ref_distance_m=ref_distance_m,
+        path_loss_exponent=path_loss_exponent,
     )
 
 
@@ -161,7 +168,7 @@ def builtin_scenarios() -> list[Scenario]:
     return [
         Scenario(
             name="fig1",
-            geometry=_geometry(_CORRIDOR_BS),
+            geometry=deployment_geometry(_CORRIDOR_BS),
             sigma_db=7.5,
             correlation_distance=50.0,
             min_distance=500.0,
@@ -170,7 +177,7 @@ def builtin_scenarios() -> list[Scenario]:
         ),
         Scenario(
             name="fig2",
-            geometry=_geometry(
+            geometry=deployment_geometry(
                 [[201.4, -9.0], [-161.7, 9.3], [-97.4, 1.2], [91.5, 2.4]]
             ),
             sigma_db=5.0,
@@ -181,7 +188,7 @@ def builtin_scenarios() -> list[Scenario]:
         ),
         Scenario(
             name="fig3",
-            geometry=_geometry(_MIXED_BS),
+            geometry=deployment_geometry(_MIXED_BS),
             sigma_db=5.0,
             correlation_distance=50.0,
             min_distance=100.0,
@@ -189,7 +196,7 @@ def builtin_scenarios() -> list[Scenario]:
         ),
         Scenario(
             name="fig4",
-            geometry=_geometry(_CORRIDOR_BS),
+            geometry=deployment_geometry(_CORRIDOR_BS),
             sigma_db=7.5,
             correlation_distance=50.0,
             min_distance=500.0,
@@ -198,7 +205,7 @@ def builtin_scenarios() -> list[Scenario]:
         ),
         Scenario(
             name="fig5",
-            geometry=_geometry(_MIXED_BS),
+            geometry=deployment_geometry(_MIXED_BS),
             sigma_db=5.0,
             correlation_distance=50.0,
             min_distance=100.0,
@@ -207,7 +214,7 @@ def builtin_scenarios() -> list[Scenario]:
         ),
         Scenario(
             name="fig6",
-            geometry=_geometry(_MIXED_BS),
+            geometry=deployment_geometry(_MIXED_BS),
             sigma_db=5.0,
             correlation_distance=50.0,
             min_distance=100.0,
@@ -292,6 +299,20 @@ def optimal_auc(
     return exact_auc(spec.separation), strategy, spec
 
 
+def roc_stage(scenario: Scenario, mode: str, model: ShadowingModel):
+    """One mode's attack, detector spec and analytic ROC; returns (strategy,
+    spec, curve).  The curve uses the scenario's thresholds, or the default
+    grid of the spec's separation."""
+    strategy = resolve_attack(scenario, mode, model)
+    spec = detector_spec(mode, scenario.geometry, model, strategy)
+    thresholds = (
+        scenario.thresholds
+        if scenario.thresholds is not None
+        else default_threshold_grid(spec.separation)
+    )
+    return strategy, spec, roc_sweep(spec, thresholds)
+
+
 @dataclass(frozen=True)
 class ModeResult:
     mode: str
@@ -307,6 +328,14 @@ class ScenarioResult:
     modes: dict
     dc_sweep: tuple = ()  # (D_c, auc) pairs, RSS mode, re-optimized attack
     r_sweep: tuple = ()  # (r, auc) pairs, RSS mode, re-optimized attack
+
+    @property
+    def worst_sigma(self) -> float:
+        """Largest Monte Carlo deviation over every mode's records (0 if none)."""
+        return max(
+            (rec["sigma"] for mr in self.modes.values() for rec in mr.mc_records),
+            default=0.0,
+        )
 
 
 def run_scenario(
@@ -327,23 +356,13 @@ def run_scenario(
     model = scenario.shadowing()
     analysis = {}
     for mode in scenario.modes:
-        strategy = resolve_attack(scenario, mode, model)
-        spec = detector_spec(mode, geometry, model, strategy)
-        thresholds = (
-            scenario.thresholds
-            if scenario.thresholds is not None
-            else default_threshold_grid(spec.separation)
-        )
-        curve = roc_sweep(spec, thresholds)
+        strategy, spec, curve = roc_stage(scenario, mode, model)
         alt_rocs = []
-        for loc in scenario.alt_locations:
-            alt = resolve_attack(
-                replace(scenario, attack=AttackPolicy("fixed-location", tuple(loc))),
-                mode,
-                model,
+        for loc in map(tuple, scenario.alt_locations):
+            alt = replace(
+                scenario, attack=AttackPolicy("fixed-location", loc), thresholds=curve.thresholds
             )
-            alt_spec = detector_spec(mode, geometry, model, alt)
-            alt_rocs.append((tuple(loc), roc_sweep(alt_spec, curve.thresholds)))
+            alt_rocs.append((loc, roc_stage(alt, mode, model)[2]))
         analysis[mode] = (strategy, curve, tuple(alt_rocs), spec)
 
     def plan(hypothesis, key, strategy=None):
@@ -488,13 +507,7 @@ def _random_geometry(rng: np.random.Generator):
         xc = np.asarray(_CLAIMED)
         if d.min() > 1.0 and np.linalg.norm(bs - xc, axis=-1).min() > 1.0:
             break
-    geometry = NetworkGeometry(
-        bs_positions=bs,
-        claimed_location=xc,
-        ref_power_db=_REF_POWER_DB,
-        ref_distance_m=_REF_DISTANCE_M,
-        path_loss_exponent=_PATH_LOSS_EXPONENT,
-    )
+    geometry = deployment_geometry(bs)
     r = 100.0
     theta = rng.uniform(0.0, 2.0 * np.pi)
     rho = rng.uniform(r, 3.0 * r)
@@ -509,8 +522,10 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
 
     Each check aggregates its worst-case discrepancy across all trials.
     """
-    if trials < 1:
-        raise ScenarioError("trials must be at least 1")
+    if not (_is_count(trials) and trials >= 1):
+        raise ScenarioError(f"trials must be a positive integer, got {trials!r}")
+    if not (_is_count(seed) and seed >= 0):
+        raise ScenarioError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
 
     kl_identity = 0.0

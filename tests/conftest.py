@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lvsim.channel import NetworkGeometry, build_covariance
+from lvsim.experiments import _random_geometry
 
 FIG1_BS = [[-250.0, 10.0], [0.0, -10.0], [250.0, 10.0]]
 FIG3_BS = [[0.0, 10.0], [131.4, -9.3], [20.6, -0.9]]
@@ -18,25 +19,10 @@ def make_geometry(bs, claimed=CLAIMED, p=-10.0, d=1.0, gamma=3.0):
     )
 
 
-def random_setup(rng, n_min=3, n_max=5, r=100.0):
-    """Random geometry, attacker location outside the r-disc, and model."""
-    while True:
-        n = int(rng.integers(n_min, n_max + 1))
-        bs = np.column_stack(
-            [rng.uniform(-250.0, 250.0, n), rng.uniform(-10.0, 10.0, n)]
-        )
-        dists = np.linalg.norm(bs[:, None, :] - bs[None, :, :], axis=-1)
-        np.fill_diagonal(dists, np.inf)
-        xc = np.asarray(CLAIMED)
-        if dists.min() > 1.0 and np.linalg.norm(bs - xc, axis=-1).min() > 1.0:
-            break
-    geometry = make_geometry(bs)
-    theta = rng.uniform(0, 2 * np.pi)
-    x_t = xc + rng.uniform(r, 3 * r) * np.array([np.cos(theta), np.sin(theta)])
-    sigma = float(rng.uniform(3.0, 10.0))
-    dc = float(rng.uniform(0.0, 200.0))
-    model = build_covariance(geometry, sigma, dc)
-    return geometry, model, x_t
+def random_setup(rng):
+    """Random geometry, attacker location outside the 100 m disc, and model."""
+    geometry, x_t, sigma, dc, _ = _random_geometry(rng)
+    return geometry, build_covariance(geometry, sigma, dc), x_t
 
 
 @pytest.fixture(scope="session")

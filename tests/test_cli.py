@@ -2,15 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lvsim
 from lvsim import cli
+from lvsim.adversary import SearchConfig
 from lvsim.cli import ScenarioFileError, main, parse_scenario_file
 from lvsim.detector import roc_from_csv
-from lvsim.experiments import builtin_scenario
+from lvsim.experiments import AttackPolicy, builtin_scenario, builtin_scenarios, run_scenario
 
 FIG1_FILE = """\
 # corridor deployment, strongest exclusion radius
@@ -33,10 +36,101 @@ def write(tmp_path, text, name="scenario.txt"):
     return path
 
 
+def render(scenario):
+    """Scenario file that sets every value of ``scenario`` explicitly."""
+
+    def nums(values):
+        return " ".join(repr(float(v)) for v in values)
+
+    g = scenario.geometry
+    lines = [f"name = {scenario.name}"]
+    lines += [f"bs = {nums(xy)}" for xy in g.bs_positions]
+    lines += [
+        f"claimed = {nums(g.claimed_location)}",
+        f"ref_power_db = {g.ref_power_db!r}",
+        f"ref_distance_m = {g.ref_distance_m!r}",
+        f"path_loss_exponent = {g.path_loss_exponent!r}",
+        f"sigma_db = {scenario.sigma_db!r}",
+        f"correlation_distance = {scenario.correlation_distance!r}",
+        f"min_distance = {scenario.min_distance!r}",
+        f"attack = {scenario.attack.kind}",
+        f"modes = {','.join(scenario.modes)}",
+        f"mc_trials = {scenario.mc_trials}",
+        f"mc_seed = {scenario.mc_seed}",
+    ]
+    if scenario.attack.true_location is not None:
+        lines.append(f"true_location = {nums(scenario.attack.true_location)}")
+    if scenario.attack.power_boost_db is not None:
+        lines.append(f"power_boost_db = {scenario.attack.power_boost_db!r}")
+    for key in ("thresholds", "dc_values", "r_values"):
+        if getattr(scenario, key) is not None:
+            lines.append(f"{key} = {nums(getattr(scenario, key))}")
+    lines += [f"alt_location = {nums(loc)}" for loc in scenario.alt_locations]
+    if scenario.search is not None:
+        cfg = scenario.search
+        lines += [
+            f"region = {nums(cfg.region)}",
+            f"coarse_grid_step = {cfg.coarse_grid_step!r}",
+            f"refine_iterations = {cfg.refine_iterations}",
+            f"refine_shrink = {cfg.refine_shrink!r}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+ROUND_TRIP = builtin_scenarios() + [
+    replace(
+        builtin_scenario("fig3"),
+        name="fig3-fixed",
+        attack=AttackPolicy("fixed", (300.0, 5.0), 2.5),
+        modes=("drss",),
+        thresholds=(-1.0, 0.0, 1.5),
+        mc_trials=5000,
+        search=SearchConfig(
+            min_distance=100.0,
+            region=(-400.0, 500.0, -300.0, 300.0),
+            coarse_grid_step=10.0,
+            refine_iterations=3,
+            refine_shrink=0.25,
+        ),
+    )
+]
+
+# every key whose value is numbers (the README's grammar)
+NUMERIC_KEYS = [
+    "bs", "claimed", "ref_power_db", "ref_distance_m", "path_loss_exponent", "sigma_db",
+    "correlation_distance", "min_distance", "true_location", "power_boost_db", "thresholds",
+    "mc_trials", "mc_seed", "region", "coarse_grid_step", "refine_iterations", "refine_shrink",
+    "dc_values", "r_values", "alt_location",
+]
+
+
 class TestScenarioFile:
     def test_fig1_file_equals_builtin(self, tmp_path):
         parsed = parse_scenario_file(write(tmp_path, FIG1_FILE))
         assert parsed == builtin_scenario("fig1")
+
+    @pytest.mark.parametrize("scenario", ROUND_TRIP, ids=lambda s: s.name)
+    def test_rendered_scenario_parses_back(self, tmp_path, scenario):
+        assert parse_scenario_file(write(tmp_path, render(scenario))) == scenario
+
+    @given(
+        key=st.sampled_from(NUMERIC_KEYS),
+        value=st.sampled_from(["x", "1 x", "--", "0x1p3", "1,,y"]),
+        position=st.integers(0, 9),
+    )
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # one file, rewritten
+    def test_malformed_value_names_key_and_line(self, tmp_path, key, value, position):
+        lines = [ln for ln in FIG1_FILE.splitlines() if not ln.startswith(f"{key} =")]
+        position = min(position, len(lines))
+        lines.insert(position, f"{key} = {value}")
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ScenarioFileError, match=f"^line {position + 1}: key '{key}' "):
+            parse_scenario_file(path)
+
+    def test_search_key_without_min_distance_is_a_missing_key(self, tmp_path):
+        text = FIG1_FILE.replace("min_distance = 500\n", "") + "region = 0 100 0 100\n"
+        with pytest.raises(ScenarioFileError, match="missing required key 'min_distance'"):
+            parse_scenario_file(write(tmp_path, text))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write(tmp_path, FIG1_FILE + "bandwidth = 20\n")
@@ -152,6 +246,28 @@ class TestMain:
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
 
+    def test_search_key_without_min_distance_exits_one(self, tmp_path, capsys):
+        text = FIG1_FILE.replace("min_distance = 500\n", "") + "region = 0 100 0 100\n"
+        code = main(["attack", "--scenario", str(write(tmp_path, text))])
+        assert code == 1
+        assert "missing required key 'min_distance'" in capsys.readouterr().err
+
+    def test_negative_seed_exits_one_before_running(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_scenario", None)  # must not be reached
+        code = main(["mc", "--scenario", "fig3", "--seed", "-1", "-o", str(tmp_path)])
+        assert code == 1
+        assert "mc_seed" in capsys.readouterr().err
+        assert not (tmp_path / "fig3").exists()
+
+    @pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
+    def test_roc_writes_the_curves_of_run_scenario(self, tmp_path, name):
+        assert main(["roc", "--scenario", name, "-o", str(tmp_path / "roc")]) == 0
+        scenario = replace(builtin_scenario(name), mc_trials=1000)
+        run_scenario(scenario, outdir=tmp_path / "run")
+        for mode in scenario.modes:
+            csv = f"{name}/{mode}_roc.csv"
+            assert (tmp_path / "roc" / csv).read_bytes() == (tmp_path / "run" / csv).read_bytes()
+
     def test_zero_mc_trials_exits_one(self, tmp_path, capsys):
         code = main(["mc", "--scenario", "fig3", "--trials", "0", "-o", str(tmp_path)])
         assert code == 1
@@ -165,7 +281,7 @@ class TestMain:
 
         def fake_run_scenario(scenario, outdir=None):
             mc_seeds.append(scenario.mc_seed)
-            return SimpleNamespace(modes={})
+            return SimpleNamespace(worst_sigma=0.0)
 
         def fake_verify_theorems(trials, seed):
             verify_seeds.append(seed)
@@ -187,7 +303,7 @@ class TestMain:
 
         def fake_run_scenario(scenario, outdir=None):
             mc_trials.append(scenario.mc_trials)
-            return SimpleNamespace(modes={})
+            return SimpleNamespace(worst_sigma=0.0)
 
         def fake_verify_theorems(trials, seed):
             verify_trials.append(trials)

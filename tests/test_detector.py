@@ -289,6 +289,28 @@ class TestRatePair:
             RatePair(np.array([0.1, 0.2]), np.array([0.3, 1.0 + 1e-12]))
         RatePair(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 
+    def test_equal_array_pairs(self):
+        a = RatePair(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+        assert a == RatePair(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+        assert not a != RatePair(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [([0.1, 0.2], [0.3, 0.5]), ([0.1, 0.25], [0.3, 0.4]), ([0.1], [0.3])]
+    )
+    def test_unequal_array_pairs(self, alpha, beta):
+        a = RatePair(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+        assert a != RatePair(np.array(alpha), np.array(beta))
+
+    def test_float_pair(self):
+        assert RatePair(0.1, 0.3) == RatePair(0.1, 0.3)
+        assert RatePair(0.1, 0.3) != RatePair(0.1, 0.4)
+        assert RatePair(0.1, 0.3) != (0.1, 0.3)
+
+    @pytest.mark.parametrize("pair", [RatePair(0.1, 0.3), RatePair(np.zeros(2), np.ones(2))])
+    def test_unhashable(self, pair):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(pair)
+
 
 @given(st.floats(-8.0, 8.0))
 def test_q_function_complement(x):

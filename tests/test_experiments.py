@@ -56,6 +56,11 @@ class TestRegistry:
         with pytest.raises(ScenarioError, match="mc_trials"):
             replace(builtin_scenario("fig3"), mc_trials=bad)
 
+    @pytest.mark.parametrize("bad", [1.5, -1, True])
+    def test_invalid_mc_seed_rejected(self, bad):
+        with pytest.raises(ScenarioError, match="mc_seed"):
+            replace(builtin_scenario("fig3"), mc_seed=bad)
+
     def test_numpy_integer_mc_trials_accepted(self):
         assert replace(builtin_scenario("fig3"), mc_trials=np.int64(1000)).mc_trials == 1000
 
@@ -157,6 +162,11 @@ class TestRunScenario:
         alone = run_scenario(replace(scenario, modes=("drss",)))
         assert alone.modes["drss"].mc_records == both.modes["drss"].mc_records
 
+    def test_worst_sigma_spans_every_mode(self, fig3_result):
+        sigmas = [rec["sigma"] for mr in fig3_result.modes.values() for rec in mr.mc_records]
+        assert fig3_result.worst_sigma == max(sigmas) > 0.0
+        assert replace(fig3_result, modes={}).worst_sigma == 0.0
+
     def test_output_files(self, tmp_path):
         scenario = builtin_scenario("fig3")
         run_scenario(scenario, outdir=tmp_path, mc_thresholds=(0.0,))
@@ -191,3 +201,13 @@ class TestVerifyTheorems:
     def test_invalid_trials(self):
         with pytest.raises(ScenarioError):
             verify_theorems(trials=0, seed=1)
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_non_integral_trials_rejected(self, bad):
+        with pytest.raises(ScenarioError, match="trials"):
+            verify_theorems(bad)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5])
+    def test_invalid_seed_rejected(self, bad):
+        with pytest.raises(ScenarioError, match="seed"):
+            verify_theorems(1, seed=bad)
