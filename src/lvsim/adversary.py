@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _LOCAL_GRID = 9  # points per axis in each refinement pass
+_REFINE_PASSES = 6  # refinement passes after the coarse grid
+_REFINE_SHRINK = 0.5  # half-width factor from one pass to the next
 _TIE_EPS = 1e-12
 _MAX_GRID_POINTS = 1_000_000  # coarse-grid cap, checked before allocation
 
@@ -63,19 +65,12 @@ class SearchConfig:
     min_distance: float
     region: tuple | None = None
     coarse_grid_step: float = 25.0
-    refine_iterations: int = 6
-    refine_shrink: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.min_distance < np.inf:
             raise SearchError("min_distance must be positive and finite")
         if not 0.0 < self.coarse_grid_step < np.inf:
             raise SearchError("coarse_grid_step must be positive and finite")
-        if not (0.0 < self.refine_shrink < 1.0):
-            raise SearchError("refine_shrink must lie strictly in (0, 1)")
-        iterations = self.refine_iterations
-        if not (isinstance(iterations, (int, np.integer)) and iterations >= 0):
-            raise SearchError("refine_iterations must be a nonnegative integer")
         if self.region is not None:
             try:
                 xmin, xmax, ymin, ymax = (float(v) for v in self.region)
@@ -174,9 +169,7 @@ def kl_drss(x_t, geometry: NetworkGeometry, model: ShadowingModel):
 def refined_grid_cell(config: SearchConfig) -> float:
     """Spacing of the final refinement grid (the search's resolution)."""
     spacing = 2.0 * config.coarse_grid_step / (_LOCAL_GRID - 1)
-    if config.refine_iterations == 0:
-        return config.coarse_grid_step
-    return spacing * config.refine_shrink ** (config.refine_iterations - 1)
+    return spacing * _REFINE_SHRINK ** (_REFINE_PASSES - 1)
 
 
 def _argmin_lex(points: np.ndarray, values: np.ndarray):
@@ -203,7 +196,8 @@ def optimize_true_location(
 
     ``objective`` is "rss" (boost-minimized RSS KL) or "drss".  Coarse
     uniform grid over the region excluding the open min-distance disc, then
-    iterative local refinement around the incumbent.
+    ``_REFINE_PASSES`` local refinement passes around the incumbent, each
+    with ``_REFINE_SHRINK`` times the previous half-width.
     """
     if objective == "rss":
         evaluate = kl_rss_minimized
@@ -259,7 +253,7 @@ def optimize_true_location(
     keep = np.ones(local.shape[0], dtype=bool)
     ticks = np.arange(_LOCAL_GRID, dtype=float)[:, None]
     half = step
-    for _ in range(config.refine_iterations):
+    for _ in range(_REFINE_PASSES):
         start, stop = incumbent - half, incumbent + half
         spacing = (stop - start) / (_LOCAL_GRID - 1)
         if (spacing == 0.0).any():
@@ -276,20 +270,10 @@ def optimize_true_location(
         keep[:-1] = feasible(axes[:, 0], axes[:, 1]).ravel()
         cand = local[keep]
         incumbent, value = _argmin_lex(cand, evaluate(cand, geometry, model))
-        half *= config.refine_shrink
+        half *= _REFINE_SHRINK
 
+    boost = 0.0
     if objective == "rss":
-        v = mean_vector(geometry, incumbent)
-        boost = optimal_power_boost(geometry.claimed_mean, v, model)
-        return AttackStrategy(
-            true_location=(float(incumbent[0]), float(incumbent[1])),
-            power_boost_db=boost,
-            kl_nats=value,
-            power_boost_relevant=True,
-        )
-    return AttackStrategy(
-        true_location=(float(incumbent[0]), float(incumbent[1])),
-        power_boost_db=0.0,
-        kl_nats=value,
-        power_boost_relevant=False,
-    )
+        boost = optimal_power_boost(geometry.claimed_mean, mean_vector(geometry, incumbent), model)
+    location = (float(incumbent[0]), float(incumbent[1]))
+    return AttackStrategy(location, boost, value, power_boost_relevant=objective == "rss")

@@ -18,6 +18,7 @@ from .experiments import (
     builtin_scenario,
     builtin_scenarios,
     deployment_geometry,
+    resolve_attack,
     roc_stage,
     run_scenario,
     verify_theorems,
@@ -25,8 +26,6 @@ from .experiments import (
 from .montecarlo import SUITE_Z
 
 __all__ = ["ScenarioFileError", "parse_scenario_file", "main"]
-
-_VERIFY_TRIALS = 100  # random geometries of `verify` by default, of `reproduce` always
 
 
 class ScenarioFileError(ValueError):
@@ -82,8 +81,6 @@ _KEYS = {
     "mc_seed": ("scenario", "mc_seed", _number(int)),
     "region": ("search", "region", _numbers(4)),
     "coarse_grid_step": ("search", "coarse_grid_step", _number(float)),
-    "refine_iterations": ("search", "refine_iterations", _number(int)),
-    "refine_shrink": ("search", "refine_shrink", _number(float)),
     "dc_values": ("scenario", "dc_values", _numbers()),
     "r_values": ("scenario", "r_values", _numbers()),
     "alt_location": ("scenario", "alt_locations", _numbers(2)),
@@ -132,7 +129,9 @@ def parse_scenario_file(path: str | Path) -> Scenario:
         deployment_geometry, args["geometry"], GeometryError, "invalid geometry: "
     )
     if args["attack"]:
-        scenario["attack"] = _build(AttackPolicy, args["attack"], ScenarioError, "")
+        scenario["attack"] = _build(
+            AttackPolicy, args["attack"], ScenarioError, "invalid attack: "
+        )
     if args["search"]:
         search = {"min_distance": scenario["min_distance"], **args["search"]}
         scenario["search"] = _build(
@@ -162,12 +161,13 @@ def _load_scenario(source: str) -> Scenario:
     )
 
 
+def _given(args, *names) -> dict:
+    """The options among ``names`` that the command line sets, by name."""
+    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+
+
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    changes = {}
-    if getattr(args, "seed", None) is not None:
-        changes["mc_seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        changes["mc_trials"] = args.trials
+    changes = {"mc_" + name: value for name, value in _given(args, "seed", "trials").items()}
     if getattr(args, "thresholds", None):
         changes["thresholds"] = tuple(args.thresholds)
     return replace(scenario, **changes) if changes else scenario
@@ -194,8 +194,6 @@ def _cmd_roc(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    from .experiments import resolve_attack
-
     scenario = _load_scenario(args.scenario)
     model = scenario.shadowing()
     for mode in (args.mode,) if args.mode else scenario.modes:
@@ -225,7 +223,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify_theorems(trials=args.trials, seed=args.seed)
+    report = verify_theorems(**_given(args, "trials", "seed"))
     outdir = _outdir(args)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "verification_report.json").write_text(report.to_json())
@@ -246,9 +244,7 @@ def _cmd_reproduce(args) -> int:
         worst = run_scenario(scenario, outdir=outdir).worst_sigma
         print(f"{scenario.name}: worst MC deviation {worst:.2f}σ")
         failed = failed or worst > SUITE_Z
-    report = verify_theorems(
-        trials=_VERIFY_TRIALS, seed=1 if args.seed is None else args.seed
-    )
+    report = verify_theorems(**_given(args, "seed"))
     (outdir / "verification_report.json").write_text(report.to_json())
     print("verification: " + ("all checks pass" if report.all_passed else "FAILURES"))
     return 2 if failed or not report.all_passed else 0
@@ -283,8 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.set_defaults(func=_cmd_mc)
 
     p_verify = sub.add_parser("verify", help="run the theorem-verification suite")
-    p_verify.add_argument("--trials", type=int, default=_VERIFY_TRIALS)
-    p_verify.add_argument("--seed", type=int, default=1)
+    p_verify.add_argument("--trials", type=int, default=None, help="random geometries")
+    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("-o", "--outdir", default=None)
     p_verify.set_defaults(func=_cmd_verify)
 

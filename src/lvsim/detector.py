@@ -29,7 +29,6 @@ __all__ = [
     "exact_auc",
     "default_threshold_grid",
     "roc_to_csv",
-    "roc_from_csv",
 ]
 
 
@@ -233,24 +232,3 @@ def roc_to_csv(curve: RocCurve) -> str:
         buf.write(f"{t:.12g},{a:.12g},{b:.12g}\n")
     buf.write(f"# s={curve.separation:.12g} auc={curve.auc:.12g}\n")
     return buf.getvalue()
-
-
-def roc_from_csv(text: str) -> RocCurve:
-    """Parse the CSV format written by :func:`roc_to_csv`."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines[0] != "ln_lambda,alpha,beta":
-        raise DetectorError("unexpected CSV header")
-    meta = lines[-1]
-    if not meta.startswith("# s="):
-        raise DetectorError("missing metadata line")
-    fields = dict(part.split("=", 1) for part in meta[2:].split())
-    table = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:-1]]).reshape(-1, 3)
-    table.flags.writeable = False
-    rates = RatePair(alpha=table[:, 1], beta=table[:, 2])
-    return RocCurve(
-        thresholds=tuple(table[:, 0].tolist()),
-        alpha=rates.alpha,
-        beta=rates.beta,
-        auc=float(fields["auc"]),
-        separation=float(fields["s"]),
-    )

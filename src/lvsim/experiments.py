@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +130,11 @@ class Scenario:
                     f"location {loc} lies {d:.6g} m from the claimed location, "
                     f"inside the {self.min_distance:.6g} m minimum-distance disc"
                 )
+        if self.search is not None and self.search.min_distance != self.min_distance:
+            raise ScenarioError(
+                f"search min_distance {self.search.min_distance!r} differs from the "
+                f"scenario's min_distance {self.min_distance!r}"
+            )
 
     def search_config(self) -> SearchConfig:
         if self.search is not None:
@@ -240,24 +245,16 @@ def resolve_attack(
     if policy.kind == "optimal":
         return optimize_true_location(mode, scenario.search_config(), geometry, model)
     x_t = policy.true_location
+    boost = 0.0
     if mode == "drss":
-        return AttackStrategy(
-            true_location=tuple(x_t),
-            power_boost_db=0.0,
-            kl_nats=float(kl_drss(x_t, geometry, model)),
-            power_boost_relevant=False,
-        )
-    if policy.kind == "fixed-location":
-        v = mean_vector(geometry, x_t)
-        boost = optimal_power_boost(geometry.claimed_mean, v, model)
+        kl = kl_drss(x_t, geometry, model)
     else:
-        boost = float(policy.power_boost_db)
-    return AttackStrategy(
-        true_location=tuple(x_t),
-        power_boost_db=boost,
-        kl_nats=float(kl_rss(boost, x_t, geometry, model)),
-        power_boost_relevant=True,
-    )
+        if policy.kind == "fixed-location":
+            boost = optimal_power_boost(geometry.claimed_mean, mean_vector(geometry, x_t), model)
+        else:
+            boost = float(policy.power_boost_db)
+        kl = kl_rss(boost, x_t, geometry, model)
+    return AttackStrategy(tuple(x_t), boost, float(kl), power_boost_relevant=mode == "rss")
 
 
 def detector_spec(
@@ -440,15 +437,7 @@ def _write_result(result: ScenarioResult, outdir: Path) -> None:
         for mode in result.modes.values():
             for rec in mode.mc_records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    attack = {
-        mode: {
-            "true_location": list(mr.strategy.true_location),
-            "power_boost_db": mr.strategy.power_boost_db,
-            "kl_nats": mr.strategy.kl_nats,
-            "power_boost_relevant": mr.strategy.power_boost_relevant,
-        }
-        for mode, mr in result.modes.items()
-    }
+    attack = {mode: asdict(mr.strategy) for mode, mr in result.modes.items()}
     (base / "attack.json").write_text(json.dumps(attack, sort_keys=True, indent=2) + "\n")
     if result.dc_sweep or result.r_sweep:
         lines = ["parameter,value,auc"]

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -198,8 +198,22 @@ class TestLocationSearch:
             SearchConfig(min_distance=0.0)
         with pytest.raises(SearchError):
             SearchConfig(min_distance=1.0, coarse_grid_step=0.0)
-        with pytest.raises(SearchError):
-            SearchConfig(min_distance=1.0, refine_shrink=1.0)
+
+    def test_drss_search_computes_no_boost(self, fig3_geometry, fig3_model, monkeypatch):
+        def no_boost(*args):
+            raise AssertionError("a DRSS attack has no power boost to compute")
+
+        monkeypatch.setattr(adversary, "optimal_power_boost", no_boost)
+        strat = optimize_true_location("drss", SearchConfig(100.0), fig3_geometry, fig3_model)
+        assert strat.power_boost_db == 0.0 and not strat.power_boost_relevant
+
+    def test_refinement_schedule_is_fixed(self):
+        # six passes, each halving the half-width, are constants of the search
+        assert [f.name for f in fields(SearchConfig)] == [
+            "min_distance", "region", "coarse_grid_step"
+        ]
+        assert refined_grid_cell(SearchConfig(min_distance=100.0)) == 0.1953125
+        assert refined_grid_cell(SearchConfig(min_distance=100.0, coarse_grid_step=8.0)) == 0.0625
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_min_distance_rejected(self, bad):
@@ -233,11 +247,6 @@ class TestLocationSearch:
     def test_malformed_region_rejected(self, region):
         with pytest.raises(SearchError, match="four numbers"):
             SearchConfig(min_distance=1.0, region=region)
-
-    @pytest.mark.parametrize("bad", [-1, 1.5, math.nan])
-    def test_non_integer_refine_iterations_rejected(self, bad):
-        with pytest.raises(SearchError, match="refine_iterations"):
-            SearchConfig(min_distance=1.0, refine_iterations=bad)
 
     def test_infinite_grid_step_rejected(self):
         with pytest.raises(SearchError, match="coarse_grid_step"):
@@ -287,7 +296,7 @@ class TestSearchEdges:
             assert math.isfinite(strat.kl_nats)
             assert strat.true_location != (0.0, 0.0)
 
-    def test_station_on_refinement_node_is_skipped(self):
+    def test_station_on_refinement_node_is_skipped(self, monkeypatch):
         # coarse nodes are multiples of 200 m, so the first refinement pass
         # (spacing 50 m, +-200 m around the coarse optimum) has nodes on every
         # multiple of 50 m nearby, including the station at (0, -50)
@@ -297,8 +306,9 @@ class TestSearchEdges:
             min_distance=100.0, region=(-400.0, 400.0, -400.0, 400.0), coarse_grid_step=200.0
         )
         for objective in ("rss", "drss"):
-            coarse_cfg = replace(cfg, refine_iterations=0)
-            coarse = optimize_true_location(objective, coarse_cfg, geometry, model)
+            with monkeypatch.context() as patch:
+                patch.setattr(adversary, "_REFINE_PASSES", 0)
+                coarse = optimize_true_location(objective, cfg, geometry, model)
             offsets = np.subtract((0.0, -50.0), coarse.true_location)
             assert np.all(np.abs(offsets) <= 200.0) and np.all(offsets % 50.0 == 0.0)
             assert np.any(offsets % 200.0 != 0.0)  # not a coarse node itself
@@ -348,9 +358,7 @@ class TestSeparableFeasibility:
     """Station exclusion tested per axis: a node is dropped only when both
     its coordinates coincide with one station's in floating point."""
 
-    CFG = SearchConfig(
-        min_distance=100.0, region=(-300.0, 300.0, -100.0, 100.0), refine_iterations=0
-    )
+    CFG = SearchConfig(min_distance=100.0, region=(-300.0, 300.0, -100.0, 100.0))
 
     @pytest.mark.parametrize(
         "station",
@@ -363,6 +371,7 @@ class TestSeparableFeasibility:
         nodes = coarse_nodes(self.CFG)
         assert np.any(nodes[:, 0] == station[0]) != np.any(nodes[:, 1] == station[1])
         outside = nodes[np.linalg.norm(nodes - CLAIMED, axis=-1) >= self.CFG.min_distance]
+        monkeypatch.setattr(adversary, "_REFINE_PASSES", 0)
         for objective in ("rss", "drss"):
             _, calls = recorded_search(objective, self.CFG, geometry, model, monkeypatch)
             np.testing.assert_array_equal(calls[0], outside)
@@ -379,12 +388,12 @@ class TestSeparableFeasibility:
         want = outside[np.any(outside != (-200.0, 0.0), axis=1)]
         assert len(want) == len(outside) - 1
         for objective in ("rss", "drss"):
-            strat, calls = recorded_search(objective, self.CFG, geometry, model, monkeypatch)
+            with monkeypatch.context() as patch:
+                patch.setattr(adversary, "_REFINE_PASSES", 0)
+                strat, calls = recorded_search(objective, self.CFG, geometry, model, patch)
             np.testing.assert_array_equal(calls[0], want)
             assert math.isfinite(strat.kl_nats)
-            strat = optimize_true_location(
-                objective, replace(self.CFG, refine_iterations=6), geometry, model
-            )
+            strat = optimize_true_location(objective, self.CFG, geometry, model)
             assert math.isfinite(strat.kl_nats)
 
     def test_station_on_refinement_node_skipped_incumbent_kept(self, monkeypatch):
@@ -396,15 +405,17 @@ class TestSeparableFeasibility:
         cfg = SearchConfig(
             min_distance=100.0, region=(-400.0, 400.0, -400.0, 400.0), coarse_grid_step=200.0
         )
+        passes = adversary._REFINE_PASSES
         for objective in ("rss", "drss"):
             strat, calls = recorded_search(objective, cfg, geometry, model, monkeypatch)
-            assert len(calls) == 1 + cfg.refine_iterations
-            incumbents = [
-                optimize_true_location(
-                    objective, replace(cfg, refine_iterations=k), geometry, model
-                ).true_location
-                for k in range(cfg.refine_iterations + 1)
-            ]
+            assert len(calls) == 1 + passes
+            incumbents = []
+            for k in range(passes + 1):
+                with monkeypatch.context() as patch:
+                    patch.setattr(adversary, "_REFINE_PASSES", k)
+                    incumbents.append(
+                        optimize_true_location(objective, cfg, geometry, model).true_location
+                    )
             assert incumbents[-1] == strat.true_location
             first = calls[1]
             # 9 x 9 nodes around the coarse optimum, less the station, plus

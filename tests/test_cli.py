@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -12,8 +14,13 @@ import lvsim
 from lvsim import cli
 from lvsim.adversary import SearchConfig
 from lvsim.cli import ScenarioFileError, main, parse_scenario_file
-from lvsim.detector import roc_from_csv
-from lvsim.experiments import AttackPolicy, builtin_scenario, builtin_scenarios, run_scenario
+from lvsim.experiments import (
+    AttackPolicy,
+    builtin_scenario,
+    builtin_scenarios,
+    run_scenario,
+    verify_theorems,
+)
 
 FIG1_FILE = """\
 # corridor deployment, strongest exclusion radius
@@ -34,6 +41,13 @@ def write(tmp_path, text, name="scenario.txt"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def read_roc(path):
+    """(ln_lambda, alpha, beta) rows of a written ROC CSV, and its AUC."""
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    auc = float(path.read_text().splitlines()[-1].split("auc=")[1])
+    return table, auc
 
 
 def render(scenario):
@@ -71,8 +85,6 @@ def render(scenario):
         lines += [
             f"region = {nums(cfg.region)}",
             f"coarse_grid_step = {cfg.coarse_grid_step!r}",
-            f"refine_iterations = {cfg.refine_iterations}",
-            f"refine_shrink = {cfg.refine_shrink!r}",
         ]
     return "\n".join(lines) + "\n"
 
@@ -89,18 +101,20 @@ ROUND_TRIP = builtin_scenarios() + [
             min_distance=100.0,
             region=(-400.0, 500.0, -300.0, 300.0),
             coarse_grid_step=10.0,
-            refine_iterations=3,
-            refine_shrink=0.25,
         ),
     )
 ]
+
+VERIFY_DEFAULTS = {
+    name: param.default for name, param in inspect.signature(verify_theorems).parameters.items()
+}
 
 # every key whose value is numbers (the README's grammar)
 NUMERIC_KEYS = [
     "bs", "claimed", "ref_power_db", "ref_distance_m", "path_loss_exponent", "sigma_db",
     "correlation_distance", "min_distance", "true_location", "power_boost_db", "thresholds",
-    "mc_trials", "mc_seed", "region", "coarse_grid_step", "refine_iterations", "refine_shrink",
-    "dc_values", "r_values", "alt_location",
+    "mc_trials", "mc_seed", "region", "coarse_grid_step", "dc_values", "r_values",
+    "alt_location",
 ]
 
 
@@ -136,6 +150,26 @@ class TestScenarioFile:
         path = write(tmp_path, FIG1_FILE + "bandwidth = 20\n")
         with pytest.raises(ScenarioFileError, match="unknown key 'bandwidth'"):
             parse_scenario_file(path)
+
+    @pytest.mark.parametrize("key", ["refine_iterations = 3", "refine_shrink = 0.25"])
+    def test_refinement_schedule_is_not_a_key(self, tmp_path, key):
+        # the search's six halving passes are constants, not scenario settings
+        line = len(FIG1_FILE.splitlines()) + 1
+        name = key.split()[0]
+        with pytest.raises(ScenarioFileError, match=f"^line {line}: unknown key '{name}'$"):
+            parse_scenario_file(write(tmp_path, FIG1_FILE + key + "\n"))
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("attack = bogus\n", "unknown attack kind: 'bogus'"),
+            ("attack = fixed\ntrue_location = 650 5\n", "attack kind 'fixed' requires a power"),
+        ],
+        ids=["unknown-kind", "fixed-without-boost"],
+    )
+    def test_bad_attack_rejected_with_prefix(self, tmp_path, lines, message):
+        with pytest.raises(ScenarioFileError, match=f"^invalid attack: {message}"):
+            parse_scenario_file(write(tmp_path, FIG1_FILE + lines))
 
     def test_fixed_location_inside_disc_rejected(self, tmp_path):
         text = FIG1_FILE + "attack = fixed-location\ntrue_location = 549 5\n"
@@ -195,11 +229,12 @@ class TestMain:
     def test_roc_modes_agree_for_fig3(self, tmp_path):
         code = main(["roc", "--scenario", "fig3", "--modes", "rss,drss", "-o", str(tmp_path)])
         assert code == 0
-        rss = roc_from_csv((tmp_path / "fig3" / "rss_roc.csv").read_text())
-        drss = roc_from_csv((tmp_path / "fig3" / "drss_roc.csv").read_text())
-        for a, b in zip(rss.alpha, drss.alpha):
+        rss, drss = (
+            read_roc(tmp_path / "fig3" / f"{mode}_roc.csv")[0] for mode in ("rss", "drss")
+        )
+        for a, b in zip(rss[:, 1], drss[:, 1]):
             assert a == pytest.approx(b, abs=1e-9)
-        for a, b in zip(rss.beta, drss.beta):
+        for a, b in zip(rss[:, 2], drss[:, 2]):
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -212,13 +247,12 @@ class TestMain:
 
     def test_emitted_csv_satisfies_curve_invariants(self, tmp_path):
         main(["roc", "--scenario", "fig2", "--modes", "drss", "-o", str(tmp_path)])
-        curve = roc_from_csv((tmp_path / "fig2" / "drss_roc.csv").read_text())
-        alphas = curve.alpha.tolist()
-        betas = curve.beta.tolist()
+        table, auc = read_roc(tmp_path / "fig2" / "drss_roc.csv")
+        thresholds, alphas, betas = (table[:, k].tolist() for k in range(3))
         assert alphas == sorted(alphas)
         assert betas == sorted(betas)
-        assert list(curve.thresholds) == sorted(curve.thresholds, reverse=True)
-        assert 0.5 <= curve.auc <= 1.0
+        assert thresholds == sorted(thresholds, reverse=True)
+        assert 0.5 <= auc <= 1.0
 
     def test_mc_small_run(self, tmp_path):
         code = main(
@@ -275,22 +309,25 @@ class TestMain:
 
     @pytest.mark.parametrize("argv, seed", [([], 1), (["--seed", "0"], 0), (["--seed", "7"], 7)])
     def test_reproduce_passes_its_seed(self, tmp_path, monkeypatch, argv, seed):
+        # ``seed`` is the one verification runs with: the flag's, else the
+        # default of verify_theorems, which the CLI does not restate
         from types import SimpleNamespace
 
-        mc_seeds, verify_seeds = [], []
+        mc_seeds, verify_calls = [], []
 
         def fake_run_scenario(scenario, outdir=None):
             mc_seeds.append(scenario.mc_seed)
             return SimpleNamespace(worst_sigma=0.0)
 
-        def fake_verify_theorems(trials, seed):
-            verify_seeds.append(seed)
+        def fake_verify_theorems(**kwargs):
+            verify_calls.append(kwargs)
             return SimpleNamespace(all_passed=True, to_json=lambda: "{}\n")
 
         monkeypatch.setattr(cli, "run_scenario", fake_run_scenario)
         monkeypatch.setattr(cli, "verify_theorems", fake_verify_theorems)
         assert main(["reproduce", "-o", str(tmp_path)] + argv) == 0
-        assert verify_seeds == [seed]
+        assert verify_calls == [{"seed": seed} if argv else {}]
+        assert {**VERIFY_DEFAULTS, **verify_calls[0]}["seed"] == seed
         if argv:
             assert mc_seeds == [seed] * 6
         else:
@@ -299,21 +336,46 @@ class TestMain:
     def test_reproduce_trials_sets_only_monte_carlo_trials(self, tmp_path, monkeypatch):
         from types import SimpleNamespace
 
-        mc_trials, verify_trials = [], []
+        mc_trials, verify_calls = [], []
 
         def fake_run_scenario(scenario, outdir=None):
             mc_trials.append(scenario.mc_trials)
             return SimpleNamespace(worst_sigma=0.0)
 
-        def fake_verify_theorems(trials, seed):
-            verify_trials.append(trials)
+        def fake_verify_theorems(**kwargs):
+            verify_calls.append(kwargs)
             return SimpleNamespace(all_passed=True, to_json=lambda: "{}\n")
 
         monkeypatch.setattr(cli, "run_scenario", fake_run_scenario)
         monkeypatch.setattr(cli, "verify_theorems", fake_verify_theorems)
         assert main(["reproduce", "-o", str(tmp_path), "--trials", "20000"]) == 0
         assert mc_trials == [20000] * 6
-        assert verify_trials == [100]
+        assert verify_calls == [{}]  # verification keeps its own trial count
+
+    @pytest.mark.parametrize(
+        "argv, passed",
+        [
+            ([], {}),
+            (["--seed", "7"], {"seed": 7}),
+            (["--trials", "3", "--seed", "0"], {"trials": 3, "seed": 0}),
+        ],
+    )
+    def test_verify_passes_only_the_flags_given(self, tmp_path, monkeypatch, argv, passed):
+        from types import SimpleNamespace
+
+        calls = []
+
+        def fake_verify_theorems(**kwargs):
+            calls.append(kwargs)
+            return SimpleNamespace(all_passed=True, to_json=lambda: "{}\n", checks=())
+
+        monkeypatch.setattr(cli, "verify_theorems", fake_verify_theorems)
+        assert main(["verify", "-o", str(tmp_path)] + argv) == 0
+        assert calls == [passed]
+
+    def test_verify_defaults_are_100_geometries_and_seed_1(self):
+        # the README's "100 geometries" for `verify` and `reproduce`
+        assert VERIFY_DEFAULTS == {"trials": 100, "seed": 1}
 
     @pytest.mark.parametrize("flag", ["--seed", "--trials"])
     def test_roc_rejects_monte_carlo_flags(self, tmp_path, capsys, flag):

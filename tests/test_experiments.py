@@ -5,12 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lvsim.adversary import SearchConfig, kl_drss, kl_rss, kl_rss_minimized
 from lvsim.experiments import (
     AttackPolicy,
     Scenario,
     ScenarioError,
     builtin_scenario,
     builtin_scenarios,
+    resolve_attack,
     run_scenario,
     verify_theorems,
 )
@@ -80,6 +82,43 @@ class TestRegistry:
                 min_distance=100.0,
                 attack=AttackPolicy("fixed-location", (100.0, 5.0)),
             )
+
+    def test_search_radius_must_be_the_scenarios(self):
+        # one exclusion radius: a search at 40 m would place the "optimal"
+        # attack inside the 100 m disc that alt_location and true_location obey
+        base = builtin_scenario("fig3")
+        with pytest.raises(ScenarioError, match=r"search min_distance 40\.0 .* min_distance 100\.0"):
+            replace(base, search=SearchConfig(min_distance=40.0))
+        with pytest.raises(ScenarioError, match="min_distance"):
+            replace(base, min_distance=250.0, search=SearchConfig(min_distance=100.0))
+        searched = replace(base, search=SearchConfig(min_distance=100.0, coarse_grid_step=20.0))
+        assert searched.search_config().min_distance == searched.min_distance
+
+
+class TestResolveAttack:
+    X_T = (300.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [AttackPolicy("fixed-location", X_T), AttackPolicy("fixed", X_T, 2.5)],
+        ids=lambda p: p.kind,
+    )
+    def test_fixed_policies(self, policy):
+        scenario = replace(builtin_scenario("fig3"), attack=policy)
+        model = scenario.shadowing()
+        geometry = scenario.geometry
+        rss = resolve_attack(scenario, "rss", model)
+        drss = resolve_attack(scenario, "drss", model)
+        assert rss.true_location == drss.true_location == self.X_T
+        assert rss.power_boost_relevant and not drss.power_boost_relevant
+        assert drss.power_boost_db == 0.0
+        assert drss.kl_nats == kl_drss(self.X_T, geometry, model)
+        assert rss.kl_nats == kl_rss(rss.power_boost_db, self.X_T, geometry, model)
+        if policy.kind == "fixed":
+            assert rss.power_boost_db == 2.5
+        else:
+            minimized = kl_rss_minimized(self.X_T, geometry, model)
+            assert rss.kl_nats == pytest.approx(minimized, rel=1e-9)
 
 
 @pytest.fixture(scope="module")

@@ -205,6 +205,12 @@ def reference_mean_vector(geometry, location):
     )
 
 
+# the search's refinement schedule, stated here on its own: six passes,
+# each halving the half-width
+REFERENCE_PASSES = 6
+REFERENCE_SHRINK = 0.5
+
+
 def reference_search(objective, config, geometry, model):
     """The location search built from meshgrid / linspace / vstack grids.
 
@@ -231,12 +237,12 @@ def reference_search(objective, config, geometry, model):
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     incumbent, value = best(np.column_stack([gx.ravel(), gy.ravel()]))
     half = step
-    for _ in range(config.refine_iterations):
+    for _ in range(REFERENCE_PASSES):
         lx = np.clip(np.linspace(incumbent[0] - half, incumbent[0] + half, 9), xmin, xmax)
         ly = np.clip(np.linspace(incumbent[1] - half, incumbent[1] + half, 9), ymin, ymax)
         gx, gy = np.meshgrid(lx, ly, indexing="ij")
         incumbent, value = best(np.vstack([np.column_stack([gx.ravel(), gy.ravel()]), incumbent]))
-        half *= config.refine_shrink
+        half *= REFERENCE_SHRINK
     boost = 0.0
     if objective == "rss":
         u = reference_mean_vector(geometry, geometry.claimed_location)
@@ -315,6 +321,6 @@ def test_search_scores_reference_candidates(deployments, objective, monkeypatch)
         with monkeypatch.context() as patch:
             patch.setattr(adversary, "mean_vector", reference_mean_vector)
             reference_search(objective, config, geometry, model)
-        assert len(got) == len(calls) == 1 + config.refine_iterations
+        assert len(got) == len(calls) == 1 + REFERENCE_PASSES
         for a, b in zip(got, calls):
             np.testing.assert_array_equal(a, b)
