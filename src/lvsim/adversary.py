@@ -9,11 +9,11 @@ subject to the minimum-distance constraint).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import NetworkGeometry, ShadowingModel, mean_vector
+from .channel import NetworkGeometry, ShadowingModel, _per_row, mean_vector
 
 __all__ = [
     "SearchError",
@@ -33,6 +33,11 @@ _REFINE_PASSES = 6  # refinement passes after the coarse grid
 _REFINE_SHRINK = 0.5  # half-width factor from one pass to the next
 _TIE_EPS = 1e-12
 _MAX_GRID_POINTS = 1_000_000  # coarse-grid cap, checked before allocation
+# Cap on one chunk's padded coarse nodes, objectives x rows x largest grid:
+# a stack of geometries is searched in chunks that keep every KL call's
+# temporaries small.  At 4096, `lvsim reproduce` peaks at the memory of the
+# one-geometry search; at 8192 its maxrss rose by 0.6 MB.
+_CHUNK_NODES = 4096
 
 
 class SearchError(ValueError):
@@ -84,15 +89,15 @@ class SearchConfig:
 
 
 def default_search_region(geometry: NetworkGeometry, min_distance: float) -> tuple:
-    """Bounding box of the base stations, expanded by 2r per side."""
-    bs = geometry.bs_positions
-    pad = 2.0 * min_distance
-    return (
-        float(bs[:, 0].min() - pad),
-        float(bs[:, 0].max() + pad),
-        float(bs[:, 1].min() - pad),
-        float(bs[:, 1].max() + pad),
-    )
+    """Bounding box of one geometry's base stations, expanded by 2r per side."""
+    if geometry.bs_positions.ndim != 2:
+        raise SearchError("default_search_region takes one geometry, not a stack")
+    return _padded_box(geometry.bs_positions, 2.0 * min_distance)
+
+
+def _padded_box(bs: np.ndarray, pad: float) -> tuple:
+    (x0, y0), (x1, y1) = bs.min(axis=0).tolist(), bs.max(axis=0).tolist()
+    return (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
 
 
 def _coarse_shape(region, step: float) -> tuple:
@@ -120,13 +125,40 @@ def _half_sq_norm(z: np.ndarray):
     return float(out) if z.ndim == 1 else out
 
 
-def optimal_power_boost(u: np.ndarray, v: np.ndarray, model: ShadowingModel) -> float:
+def _whiten(b: np.ndarray, whitener: np.ndarray) -> np.ndarray:
+    """W b for every vector on the last axis of ``b``.  A stacked W (T, n, n)
+    whitens row t of b (T, ..., n) with W[t], in one batched matmul whose
+    slices round as the per-geometry products do."""
+    if whitener.ndim == 2:
+        return b @ whitener.T
+    rows = b.reshape(len(whitener), -1, b.shape[-1])
+    return (rows @ np.swapaxes(whitener, -1, -2)).reshape(b.shape)
+
+
+def _dot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a . w over the last axis of ``a``; a stacked w (T, n) meets row t of
+    a (T, ..., n) as w[t], again rounding as the per-geometry products do."""
+    if w.ndim == 1:
+        return a @ w
+    return (a.reshape(len(w), -1, a.shape[-1]) @ w[..., None]).reshape(a.shape[:-1])
+
+
+def _rowwise(w: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per-geometry vector ``w``, shaped to meet ``target`` (..., n) row by
+    row: a stack's (T, n) becomes (T, 1, ..., 1, n)."""
+    return _per_row(w, target.ndim) if w.ndim == 2 else w
+
+
+def optimal_power_boost(u: np.ndarray, v: np.ndarray, model: ShadowingModel):
     """Closed-form boost minimizing the RSS KL divergence for a fixed location.
 
-    Returns ((u - v)^T R^-1 1) / (1^T R^-1 1), as (W(u - v)) . (W 1) / |W 1|^2.
+    Returns ((u - v)^T R^-1 1) / (1^T R^-1 1), as (W(u - v)) . (W 1) / |W 1|^2:
+    a float for one geometry, and an array of shape (T,) for u and v of
+    shape (T, N) with a model stack.
     """
-    ones = model.whitener.sum(axis=1)
-    return float((np.asarray(u, dtype=float) - v) @ model.whitener.T @ ones / (ones @ ones))
+    ones = model.whitener.sum(axis=-1)
+    boost = _dot(_whiten(np.asarray(u, dtype=float) - v, model.whitener), ones) / _dot(ones, ones)
+    return float(boost) if boost.ndim == 0 else boost
 
 
 def kl_rss(p_x, x_t, geometry: NetworkGeometry, model: ShadowingModel):
@@ -135,10 +167,12 @@ def kl_rss(p_x, x_t, geometry: NetworkGeometry, model: ShadowingModel):
     Equals 0.5 |W (p_x 1 + v - u)|^2; ``x_t`` may be a single point or an
     array of shape (..., 2).  ``p_x`` may be a float or an array of shape
     (..., 1) that broadcasts against the leading axes of ``x_t``:
-    ``p_grid[:, None]`` with one point scores a column of boosts.
+    ``p_grid[:, None]`` with one point scores a column of boosts.  For a
+    geometry and model stack, ``x_t`` has shape (T, ..., 2), ``p_x`` shape
+    (T, ..., 1), and the result shape (T, ...).
     """
     v = mean_vector(geometry, x_t)
-    return _half_sq_norm((p_x + v - geometry.claimed_mean) @ model.whitener.T)
+    return _half_sq_norm(_whiten(p_x + v - _rowwise(geometry.claimed_mean, v), model.whitener))
 
 
 def kl_rss_minimized(x_t, geometry: NetworkGeometry, model: ShadowingModel):
@@ -146,24 +180,25 @@ def kl_rss_minimized(x_t, geometry: NetworkGeometry, model: ShadowingModel):
 
     The boost moves W(v - u) along W 1, so the minimum is half the squared
     residual of W(v - u) after projecting out W 1.  Vectorized over ``x_t``
-    of shape (..., 2).
+    of shape (..., 2), or (T, ..., 2) for a stack.
     """
     v = mean_vector(geometry, x_t)
-    z = (v - geometry.claimed_mean) @ model.whitener.T
-    ones = model.whitener.sum(axis=1)
-    unit = ones / np.sqrt(ones @ ones)
-    return _half_sq_norm(z - (z @ unit)[..., None] * unit)
+    z = _whiten(v - _rowwise(geometry.claimed_mean, v), model.whitener)
+    ones = model.whitener.sum(axis=-1)
+    unit = ones / np.sqrt(_dot(ones, ones))[..., None]
+    return _half_sq_norm(z - _dot(z, unit)[..., None] * _rowwise(unit, z))
 
 
 def kl_drss(x_t, geometry: NetworkGeometry, model: ShadowingModel):
     """KL divergence seen by the DRSS detector; boost-independent.
 
     Equals 0.5 |W_D delta|^2 for the differenced mean shift delta.
-    Vectorized over ``x_t`` of shape (..., 2).
+    Vectorized over ``x_t`` of shape (..., 2), or (T, ..., 2) for a stack.
     """
-    g = mean_vector(geometry, x_t) - geometry.claimed_mean
+    v = mean_vector(geometry, x_t)
+    g = v - _rowwise(geometry.claimed_mean, v)
     delta = g[..., :-1] - g[..., -1:]
-    return _half_sq_norm(delta @ model.d_whitener.T)
+    return _half_sq_norm(_whiten(delta, model.d_whitener))
 
 
 def refined_grid_cell(config: SearchConfig) -> float:
@@ -172,108 +207,231 @@ def refined_grid_cell(config: SearchConfig) -> float:
     return spacing * _REFINE_SHRINK ** (_REFINE_PASSES - 1)
 
 
-def _argmin_lex(points: np.ndarray, values: np.ndarray):
-    """Minimum value; ties within 1e-12 broken by lexicographic (x, y)."""
-    vmin = values.min()
-    mask = values <= vmin + _TIE_EPS
-    hits = mask.nonzero()[0]
-    if hits.size == 1:
-        return points[hits[0]], float(values[hits[0]])
-    cand = points[hits]
-    cand_vals = values[hits]
-    order = np.lexsort((cand[:, 1], cand[:, 0]))
-    best = order[0]
-    return cand[best], float(cand_vals[best])
+def _argmin_rows(points: np.ndarray, values: np.ndarray, rows: np.ndarray):
+    """Each row's minimum value, ties within 1e-12 broken by lexicographic
+    (x, y), then by position.
+
+    ``values`` is (rows, M), ``points`` (rows, M, 2) and ``rows`` is
+    ``np.arange(len(values))``; returns the winning points (rows, 2) and
+    values (rows,).
+    """
+    least = np.minimum.reduce(values, axis=1)
+    hit = values <= (least + _TIE_EPS)[:, None]
+    if np.count_nonzero(hit) == len(hit):  # one hit per row: its minimum
+        return points[rows, hit.argmax(axis=1)], least
+    # numpy orders complex numbers as their (real, imag) pairs: a point
+    # viewed as x + iy orders lexicographically by (x, y)
+    z = points.view(np.complex128)[..., 0]
+    hit &= z == np.minimum.reduce(
+        z, axis=1, keepdims=True, where=hit, initial=complex(np.inf, np.inf)
+    )
+    best = hit.argmax(axis=1)
+    return points[rows, best], values[rows, best]
+
+
+def _pack(points: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Each row's kept points (rows, P, 2), in order, padded up to the
+    longest row with copies of the row's first kept point.
+
+    A copy has the same point and value as its original, which comes
+    first, so it can neither win nor break a tie.
+    """
+    kept = points[keep]
+    if len(keep) == 1:  # one row: nothing to pad
+        if not len(kept):
+            raise SearchError("feasible region is empty")
+        return kept[None]
+    counts = keep.sum(axis=-1)
+    if not counts.all():
+        raise SearchError("feasible region is empty")
+    widest = counts.max()
+    if len(kept) == len(counts) * widest:
+        return kept.reshape(len(counts), widest, 2)
+    first = np.cumsum(counts) - counts
+    j = np.arange(widest)
+    return kept[first[:, None] + np.where(j < counts[:, None], j, 0)]
+
+
+def _chunks(sizes, n_objectives: int):
+    """Contiguous row slices holding at most _CHUNK_NODES padded coarse nodes
+    (objectives x rows x the chunk's largest coarse grid), one row at least."""
+    start, widest = 0, 0
+    for i, size in enumerate(sizes):
+        widest = max(widest, size)
+        if i > start and n_objectives * (i + 1 - start) * widest > _CHUNK_NODES:
+            yield slice(start, i)
+            start, widest = i, size
+    yield slice(start, len(sizes))
+
+
+def _substack(geometry: NetworkGeometry, model: ShadowingModel, rows: slice):
+    """The geometry and model stacks of the given rows."""
+    sub = NetworkGeometry(
+        geometry.bs_positions[rows],
+        geometry.claimed_location[rows],
+        geometry.ref_power_db,
+        geometry.ref_distance_m,
+        geometry.path_loss_exponent,
+    )
+    return sub, ShadowingModel(**{f.name: getattr(model, f.name)[rows] for f in fields(model)})
 
 
 def optimize_true_location(
-    objective: str,
-    config: SearchConfig,
+    objective,
+    config,
     geometry: NetworkGeometry,
     model: ShadowingModel,
-) -> AttackStrategy:
+):
     """Minimize the KL objective over feasible true locations.
 
-    ``objective`` is "rss" (boost-minimized RSS KL) or "drss".  Coarse
-    uniform grid over the region excluding the open min-distance disc, then
-    ``_REFINE_PASSES`` local refinement passes around the incumbent, each
-    with ``_REFINE_SHRINK`` times the previous half-width.
+    ``objective`` is "rss" (boost-minimized RSS KL) or "drss", or a tuple of
+    them; the objectives of a tuple share every round of one search, and the
+    result is a tuple of their results in the same order.  Each objective is
+    scored by its own public KL function.  Coarse uniform grid over the
+    region excluding the open min-distance disc, then ``_REFINE_PASSES``
+    local refinement passes around the incumbent, each with
+    ``_REFINE_SHRINK`` times the previous half-width.
+
+    One geometry takes one SearchConfig and gives one AttackStrategy.  A
+    stack of T geometries takes a sequence of T configs, one per row, and
+    gives a tuple of T strategies; its rows are searched together, in
+    chunks of at most ``_CHUNK_NODES`` padded coarse nodes.
     """
-    if objective == "rss":
-        evaluate = kl_rss_minimized
-    elif objective == "drss":
-        evaluate = kl_drss
-    else:
+    objectives = (objective,) if isinstance(objective, str) else tuple(objective)
+    if not objectives or any(o not in ("rss", "drss") for o in objectives):
         raise SearchError(f"unknown objective: {objective!r}")
+    stacked = geometry.bs_positions.ndim == 3
+    bs = geometry.bs_positions.reshape(-1, geometry.n_stations, 2)
+    configs = (config,) if isinstance(config, SearchConfig) else tuple(config)
+    if len(configs) != len(bs):
+        raise SearchError(f"{len(bs)} geometries need as many search configs, got {len(configs)}")
+    regions = [
+        c.region if c.region is not None else _padded_box(b, 2.0 * c.min_distance)
+        for c, b in zip(configs, bs)
+    ]
+    sizes = [math.prod(_coarse_shape(reg, c.coarse_grid_step)) for reg, c in zip(regions, configs)]
 
-    region = (
-        config.region
-        if config.region is not None
-        else default_search_region(geometry, config.min_distance)
+    found = [[] for _ in objectives]
+    for chunk in _chunks(sizes, len(objectives)):
+        g, m = geometry, model
+        if stacked and chunk != slice(0, len(bs)):
+            g, m = _substack(geometry, model, chunk)
+        incumbent, value = _search_rows(objectives, configs[chunk], regions[chunk], g, m)
+        for j, name in enumerate(objectives):
+            kls = value[j].tolist()
+            boosts = [0.0] * len(kls)
+            if name == "rss":
+                at = incumbent[j] if stacked else incumbent[j, 0]
+                boost = optimal_power_boost(g.claimed_mean, mean_vector(g, at), m)
+                boosts = np.ravel(boost).tolist()
+            found[j] += [
+                AttackStrategy(tuple(x), b, kl, name == "rss")
+                for x, b, kl in zip(incumbent[j].tolist(), boosts, kls)
+            ]
+    out = tuple(tuple(strategies) if stacked else strategies[0] for strategies in found)
+    return out[0] if isinstance(objective, str) else out
+
+
+def _search_rows(objectives, configs, regions, geometry, model):
+    """Grid-then-refine search of every objective on every row of one chunk.
+
+    Its rows are the (objective, geometry) pairs, objective-major: they share
+    each round's grid build, feasibility test and tie-break, and the points
+    each KL call scores are, row for row, those of a search on one geometry.
+    Returns the incumbents (K, R, 2) and their values (K, R) for K
+    objectives and R geometries.
+    """
+    evaluate = {"rss": kl_rss_minimized, "drss": kl_drss}
+    stacked = geometry.bs_positions.ndim == 3
+    k, n_geo = len(objectives), len(configs)
+    n_rows = k * n_geo
+    parts = [
+        (evaluate[name], slice(j * n_geo, (j + 1) * n_geo) if stacked else j)
+        for j, name in enumerate(objectives)
+    ]
+    # per row: r, coarse step, xmin, xmax, ymin, ymax
+    setting = np.array(
+        [(c.min_distance, c.coarse_grid_step, *reg) for c, reg in zip(configs, regions)] * k,
+        dtype=float,
     )
-    nx, ny = _coarse_shape(region, config.coarse_grid_step)
-    xmin, xmax, ymin, ymax = region
-    lo, hi = np.array([xmin, ymin], dtype=float), np.array([xmax, ymax], dtype=float)
-    xc = geometry.claimed_location
-    bs = geometry.bs_positions
-    r = config.min_distance
+    r, step = setting[:, 0, None, None], setting[:, 1]
+    lo, hi = setting[:, None, 2::2], setting[:, None, 3::2]
+    bs = geometry.bs_positions.reshape(n_geo, 1, -1, 2)
+    xc = geometry.claimed_location.reshape(n_geo, 1, 2)
+    if k > 1:
+        bs, xc = np.concatenate([bs] * k), np.concatenate([xc] * k)
+    rows = np.arange(n_rows)
 
-    def feasible(xs, ys):
-        # (len(xs), len(ys)) mask of the tensor grid: outside the open disc,
-        # with sqrt(dx*dx + dy*dy) bit-identical to np.linalg.norm, and not
+    def tensor_grid(axes, out):
+        # out (rows, n, n, 2): the tensor grid of each row's x and y axis
+        # values axes (rows, n, 2), in (x, y)-lexicographic order.  Returns
+        # its feasibility mask (rows, n, n): outside the open disc, with
+        # sqrt(dx*dx + dy*dy) bit-identical to np.linalg.norm, and not
         # exactly on a base station (undefined path loss).  ex*ex + ey*ey > 0
         # fails only where both squares are 0, so the station test splits
-        # into column and row hits per station.
-        dx, dy = xs - xc[0], ys - xc[1]
-        ok = np.sqrt((dx * dx)[:, None] + dy * dy) >= r
-        ex, ey = xs[:, None] - bs[:, 0], ys[:, None] - bs[:, 1]
-        col, row = ex * ex == 0.0, ey * ey == 0.0
-        for k in (col.any(axis=0) & row.any(axis=0)).nonzero()[0]:
-            ok[np.ix_(col[:, k], row[:, k])] = False
+        # into per-axis hits.  NaN coordinates fail every comparison, so they
+        # are never feasible.
+        out[..., 0] = axes[:, :, None, 0]
+        out[..., 1] = axes[:, None, :, 1]
+        d = axes - xc
+        d *= d
+        ok = np.sqrt(d[:, :, None, 0] + d[:, None, :, 1]) >= r
+        e = axes[:, :, None, :] - bs
+        on = e * e == 0.0
+        for t, station in zip(*on.any(axis=1).all(axis=-1).nonzero()):
+            ok[t][np.ix_(on[t, :, station, 0], on[t, :, station, 1])] = False
         return ok
 
-    step = config.coarse_grid_step
-    xs = np.arange(xmin, xmax + 0.5 * step, step)
-    ys = np.arange(ymin, ymax + 0.5 * step, step)
-    grid = np.empty((nx, ny, 2))
-    grid[..., 0] = xs[:, None]
-    grid[..., 1] = ys
-    mask = feasible(xs, ys)
-    if not mask.any():
-        raise SearchError("feasible region is empty")
-    pts = grid[mask]
-    incumbent, value = _argmin_lex(pts, evaluate(pts, geometry, model))
+    def score(points):
+        # points (rows, M, 2) -> values (rows, M), one KL call per objective
+        values = [kl(points[part], geometry, model) for kl, part in parts]
+        return (values[0] if k == 1 else np.concatenate(values)).reshape(n_rows, -1)
 
-    # each pass: the 9x9 local grid in (x, y)-lexicographic order, then the
-    # incumbent, which stays feasible, in one reused buffer.  Its axes are
-    # np.linspace(incumbent - half, incumbent + half, 9), built with the same
-    # arithmetic, then clipped to the region.
-    local = np.empty((_LOCAL_GRID * _LOCAL_GRID + 1, 2))
-    local_grid = local[:-1].reshape(_LOCAL_GRID, _LOCAL_GRID, 2)
-    keep = np.ones(local.shape[0], dtype=bool)
-    ticks = np.arange(_LOCAL_GRID, dtype=float)[:, None]
-    half = step
+    # coarse grid: each row's np.arange axes, padded with NaN to the longest
+    lines = [
+        (np.arange(x0, x1 + 0.5 * s, s), np.arange(y0, y1 + 0.5 * s, s))
+        for (x0, x1, y0, y1), s in zip(regions, (c.coarse_grid_step for c in configs))
+    ]
+    width = max(len(line) for pair in lines for line in pair)
+    axes = np.full((n_geo, width, 2), np.nan)
+    for t, (ax, ay) in enumerate(lines):
+        axes[t, : len(ax), 0] = ax
+        axes[t, : len(ay), 1] = ay
+    if k > 1:
+        axes = np.concatenate([axes] * k)
+    grid = np.empty((n_rows, width, width, 2))
+    mask = tensor_grid(axes, grid)
+    pts = _pack(grid.reshape(n_rows, -1, 2), mask.reshape(n_rows, -1))
+    incumbent, value = _argmin_rows(pts, score(pts), rows)
+
+    # each pass: per row, the 9x9 local grid in (x, y)-lexicographic order,
+    # then the incumbent, which stays feasible, in one reused buffer.  Its
+    # axes (rows, 9, 2) are np.linspace(incumbent - half, incumbent + half,
+    # 9), built with the same arithmetic row by row, then clipped to the
+    # region.
+    n = _LOCAL_GRID
+    local = np.empty((n_rows, n * n + 1, 2))
+    local_grid = local[:, :-1].reshape(n_rows, n, n, 2)
+    keep = np.ones(local.shape[:-1], dtype=bool)
+    ticks = np.arange(n, dtype=float)[:, None]
+    half = step[:, None, None]
+    incumbent = incumbent[:, None]
     for _ in range(_REFINE_PASSES):
         start, stop = incumbent - half, incumbent + half
-        spacing = (stop - start) / (_LOCAL_GRID - 1)
-        if (spacing == 0.0).any():
-            axes = np.linspace(start, stop, _LOCAL_GRID)
-        else:
-            axes = ticks * spacing
-            axes += start
-            axes[-1] = stop
+        spacing = (stop - start) / (n - 1)
+        axes = ticks * spacing
+        axes += start
+        if np.count_nonzero(spacing) < spacing.size:
+            # np.linspace's branch for a row with a zero (denormal) spacing
+            flat = (spacing == 0.0).any(axis=(1, 2))
+            axes[flat] = ticks / (n - 1) * (stop - start)[flat] + start[flat]
+        axes[:, -1:] = stop
         np.maximum(axes, lo, out=axes)
         np.minimum(axes, hi, out=axes)
-        local_grid[..., 0] = axes[:, 0, None]
-        local_grid[..., 1] = axes[:, 1]
-        local[-1] = incumbent
-        keep[:-1] = feasible(axes[:, 0], axes[:, 1]).ravel()
-        cand = local[keep]
-        incumbent, value = _argmin_lex(cand, evaluate(cand, geometry, model))
-        half *= _REFINE_SHRINK
-
-    boost = 0.0
-    if objective == "rss":
-        boost = optimal_power_boost(geometry.claimed_mean, mean_vector(geometry, incumbent), model)
-    location = (float(incumbent[0]), float(incumbent[1]))
-    return AttackStrategy(location, boost, value, power_boost_relevant=objective == "rss")
+        keep[:, :-1] = tensor_grid(axes, local_grid).reshape(n_rows, -1)
+        local[:, -1:] = incumbent
+        cand = _pack(local, keep)
+        incumbent, value = _argmin_rows(cand, score(cand), rows)
+        incumbent = incumbent[:, None]
+        half = half * _REFINE_SHRINK
+    return incumbent.reshape(k, n_geo, 2), value.reshape(k, n_geo)

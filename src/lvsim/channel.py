@@ -46,22 +46,31 @@ class NetworkGeometry:
     ``claimed_mean`` is the read-only mean vector u at the claimed location,
     ``mean_vector(self, claimed_location)``, computed once when the geometry
     is built.
+
+    A stack of T geometries that share N has ``bs_positions`` of shape
+    (T, N, 2), ``claimed_location`` of shape (T, 2) and ``claimed_mean`` of
+    shape (T, N); each row is checked as one geometry is, and the path-loss
+    scalars are shared.  One geometry is the unstacked case.
     """
 
-    bs_positions: np.ndarray  # (N, 2)
-    claimed_location: np.ndarray  # (2,)
+    bs_positions: np.ndarray  # (N, 2), or (T, N, 2) for a stack
+    claimed_location: np.ndarray  # (2,), or (T, 2)
     ref_power_db: float
     ref_distance_m: float
     path_loss_exponent: float
 
     def __post_init__(self):
         bs = np.atleast_2d(np.asarray(self.bs_positions, dtype=float))
-        xc = np.asarray(self.claimed_location, dtype=float).reshape(2)
+        xc = np.asarray(self.claimed_location, dtype=float)
+        if bs.ndim not in (2, 3) or bs.shape[-1] != 2:
+            raise GeometryError("bs_positions must be an (N, 2) or (T, N, 2) array")
+        if xc.shape != bs.shape[:-2] + (2,):
+            if bs.ndim == 3 or xc.size != 2:
+                raise GeometryError("claimed_location must hold one 2-D point per geometry")
+            xc = xc.reshape(2)
         object.__setattr__(self, "bs_positions", bs)
         object.__setattr__(self, "claimed_location", xc)
-        if bs.ndim != 2 or bs.shape[1] != 2:
-            raise GeometryError("bs_positions must be an (N, 2) array")
-        if bs.shape[0] < 2:
+        if bs.shape[-2] < 2:
             raise GeometryError("at least two base stations are required")
         scalars = (self.ref_power_db, self.ref_distance_m, self.path_loss_exponent)
         if not (np.isfinite(bs).all() and np.isfinite(xc).all() and np.isfinite(scalars).all()):
@@ -70,11 +79,11 @@ class NetworkGeometry:
             raise GeometryError("reference distance must be positive")
         if self.path_loss_exponent <= 0:
             raise GeometryError("path loss exponent must be positive")
-        d = np.linalg.norm(bs[:, None, :] - bs[None, :, :], axis=-1)
-        np.fill_diagonal(d, np.inf)
+        d = np.linalg.norm(bs[..., :, None, :] - bs[..., None, :, :], axis=-1)
+        d[..., range(bs.shape[-2]), range(bs.shape[-2])] = np.inf
         if (d == 0.0).any():
             raise GeometryError("base-station positions must be pairwise distinct")
-        if (np.linalg.norm(bs - xc, axis=-1) == 0.0).any():
+        if (np.linalg.norm(bs - xc[..., None, :], axis=-1) == 0.0).any():
             raise GeometryError("claimed location coincides with a base station")
         u = mean_vector(self, xc)
         u.flags.writeable = False
@@ -82,7 +91,7 @@ class NetworkGeometry:
 
     @property
     def n_stations(self) -> int:
-        return self.bs_positions.shape[0]
+        return self.bs_positions.shape[-2]
 
     def __reduce__(self):
         # copies and unpickled geometries are rebuilt through the constructor,
@@ -110,7 +119,8 @@ class ShadowingModel:
     factor L; ``whitener`` W = L^-1 turns b^T R^-1 b into |W b|^2, and
     ``d_whitener`` does the same for the differenced covariance D.
     ``diag_jitter`` records any stabilization added to the diagonal (zero in
-    the normal case).
+    the normal case).  A model stack, for a stack of geometries, holds the
+    ``np.stack`` of the per-geometry values of every field.
     """
 
     sigma_db: float
@@ -126,22 +136,35 @@ def mean_vector(geometry: NetworkGeometry, location) -> np.ndarray:
     """Deterministic received power (dB) at every base station.
 
     ``location`` may be a single 2-D point or an array of shape (..., 2);
-    the result has shape (..., N).
+    the result has shape (..., N).  For a stack of T geometries,
+    ``location`` has shape (T, ..., 2), row t holding points of geometry t,
+    and the result has shape (T, ..., N).
     """
     loc = np.asarray(location, dtype=float)
     if loc.shape[-1:] != (2,):
         raise GeometryError("location must be a 2-D point or an array of shape (..., 2)")
     bs = geometry.bs_positions
-    dx = loc[..., 0, None] - bs[:, 0]
-    dy = loc[..., 1, None] - bs[:, 1]
+    if bs.ndim == 3:
+        if loc.ndim < 2 or loc.shape[0] != bs.shape[0]:
+            raise GeometryError("a geometry stack needs locations of shape (T, ..., 2)")
+        bs = _per_row(bs, loc.ndim)
+    dx = loc[..., 0, None] - bs[..., 0]
+    dy = loc[..., 1, None] - bs[..., 1]
     # bit-identical to np.linalg.norm over the coordinate axis, without its
     # per-call overhead
     dist = np.sqrt(dx * dx + dy * dy)
-    if (dist == 0.0).any():
+    if np.count_nonzero(dist == 0.0):
         raise GeometryError("location coincides with a base station")
     return geometry.ref_power_db - 10.0 * geometry.path_loss_exponent * np.log10(
         dist / geometry.ref_distance_m
     )
+
+
+def _per_row(values: np.ndarray, ndim: int) -> np.ndarray:
+    """View stack values (T, *tail) as (T, 1, ..., 1, *tail), with ``ndim - 2``
+    unit axes, so that row t meets row t of an array (T, *M, k) of ``ndim``
+    dimensions: points or vectors with M middle axes."""
+    return values.reshape(values.shape[:1] + (1,) * (ndim - 2) + values.shape[1:])
 
 
 def build_covariance(

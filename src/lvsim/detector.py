@@ -185,9 +185,12 @@ def analytic_rates(spec: DetectorSpec, log_threshold=0.0) -> RatePair:
 
     A scalar ln λ gives a ``RatePair`` of floats; an array gives, in one
     pass, a ``RatePair`` of read-only arrays of its shape, element for
-    element equal to the scalar calls.
+    element equal to the scalar calls.  ln λ = ±inf gives rates 0 and 1; a
+    NaN ln λ raises DetectorError.
     """
     lam = np.asarray(log_threshold, dtype=float)
+    if np.isnan(lam).any():
+        raise DetectorError("ln λ is NaN; a threshold must be a number or ±inf")
     s = spec.separation
     rt = np.sqrt(s)
     # alpha = Q((ln λ + s/2)/√s) and beta = Q((ln λ - s/2)/√s), in one call

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +90,14 @@ class AttackPolicy:
             raise ScenarioError(f"attack kind {self.kind!r} requires a true location")
         if self.kind == "fixed" and self.power_boost_db is None:
             raise ScenarioError("attack kind 'fixed' requires a power boost")
+        if self.true_location is not None and not (
+            len(self.true_location) == 2 and all(map(math.isfinite, self.true_location))
+        ):
+            raise ScenarioError(
+                f"true_location must be two finite numbers, got {self.true_location!r}"
+            )
+        if self.power_boost_db is not None and not math.isfinite(self.power_boost_db):
+            raise ScenarioError(f"power_boost_db must be finite, got {self.power_boost_db!r}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +120,27 @@ class Scenario:
     alt_locations: tuple = ()
 
     def __post_init__(self):
+        if not 0.0 < self.sigma_db < math.inf:
+            raise ScenarioError(f"sigma_db must be positive and finite, got {self.sigma_db!r}")
+        if not 0.0 <= self.correlation_distance < math.inf:
+            raise ScenarioError(
+                "correlation_distance must be nonnegative and finite, "
+                f"got {self.correlation_distance!r}"
+            )
         if not 0.0 < self.min_distance < math.inf:
             raise ScenarioError("min_distance must be positive and finite")
+        if not all(0.0 <= dc < math.inf for dc in self.dc_values or ()):
+            raise ScenarioError(f"dc_values must be nonnegative and finite, got {self.dc_values!r}")
+        if not all(0.0 < r < math.inf for r in self.r_values or ()):
+            raise ScenarioError(f"r_values must be positive and finite, got {self.r_values!r}")
+        if self.thresholds is not None and (
+            len(self.thresholds) < 2 or any(map(math.isnan, self.thresholds))
+        ):
+            raise ScenarioError(
+                f"thresholds must be at least two ln λ values, none NaN, got {self.thresholds!r}"
+            )
+        if not self.modes:
+            raise ScenarioError("modes must name at least one of rss, drss")
         if not (_is_count(self.mc_trials) and self.mc_trials >= 1):
             raise ScenarioError(f"mc_trials must be a positive integer, got {self.mc_trials!r}")
         if not (_is_count(self.mc_seed) and self.mc_seed >= 0):
@@ -506,16 +533,42 @@ def _random_geometry(rng: np.random.Generator):
     return geometry, x_t, sigma, dc, r
 
 
+def _stack_geometries(geometries) -> NetworkGeometry:
+    """One geometry stack of geometries that share N and the path-loss law."""
+    first = geometries[0]
+    return NetworkGeometry(
+        np.array([g.bs_positions for g in geometries]),
+        np.array([g.claimed_location for g in geometries]),
+        first.ref_power_db,
+        first.ref_distance_m,
+        first.path_loss_exponent,
+    )
+
+
+def _stack_models(models) -> ShadowingModel:
+    """The model stack: every field's per-geometry values, stacked."""
+    return ShadowingModel(
+        **{f.name: np.array([getattr(m, f.name) for m in models]) for f in fields(ShadowingModel)}
+    )
+
+
 def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
     """Stress-test the analytic identities on random geometries.
 
-    Each check aggregates its worst-case discrepancy across all trials.
+    Each check aggregates its worst-case discrepancy across all trials.  The
+    geometries are drawn first, then checked in stacks of equal N: one
+    stacked call per KL identity, boost and convexity check, and one location
+    search per stack for both objectives.  Covariances and detector specs
+    are built per geometry.
     """
     if not (_is_count(trials) and trials >= 1):
         raise ScenarioError(f"trials must be a positive integer, got {trials!r}")
     if not (_is_count(seed) and seed >= 0):
         raise ScenarioError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
+    by_n = {}
+    for draw in (_random_geometry(rng) for _ in range(trials)):
+        by_n.setdefault(draw[0].n_stations, []).append(draw)
 
     kl_identity = 0.0
     dominance_margin = np.inf
@@ -526,9 +579,12 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
     dinv_err = 0.0
     closed_form_err = 0.0
 
-    for _ in range(trials):
-        geometry, x_t, sigma, dc, r = _random_geometry(rng)
-        model = build_covariance(geometry, sigma, dc)
+    for n, group in by_n.items():
+        geometries, x_t, sigmas, dcs, radii = zip(*group)
+        models = [build_covariance(g, s, dc) for g, s, dc in zip(geometries, sigmas, dcs)]
+        whites = [build_covariance(g, 1.0, 0.0) for g in geometries]
+        geometry, model = _stack_geometries(geometries), _stack_models(models)
+        x_t = np.stack(x_t)
         u = geometry.claimed_mean
         v = mean_vector(geometry, x_t)
         boost = optimal_power_boost(u, v, model)
@@ -536,61 +592,59 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
         # Boost-minimized RSS KL equals the DRSS KL for every geometry.
         lhs = kl_rss_minimized(x_t, geometry, model)
         rhs = kl_drss(x_t, geometry, model)
-        kl_identity = max(kl_identity, abs(lhs - rhs) / max(abs(rhs), 1e-300))
+        kl_identity = max(
+            kl_identity, float((np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)).max())
+        )
 
-        # With a suboptimal boost, the RSS separation strictly exceeds DRSS.
-        strat = AttackStrategy(tuple(x_t), boost, lhs)
-        drss_spec = detector_spec("drss", geometry, model, strat)
-        for db in (1.0, 3.0, 10.0):
-            for sign in (1.0, -1.0):
-                perturbed = AttackStrategy(tuple(x_t), boost + sign * db, 0.0)
-                rss_s = detector_spec("rss", geometry, model, perturbed).separation
-                dominance_margin = min(dominance_margin, rss_s - drss_spec.separation)
+        for g, m, x, b, kl in zip(geometries, models, x_t, boost.tolist(), lhs.tolist()):
+            # With a suboptimal boost, the RSS separation strictly exceeds DRSS.
+            strat = AttackStrategy(tuple(x), b, kl)
+            drss_spec = detector_spec("drss", g, m, strat)
+            for db in (1.0, 3.0, 10.0):
+                for sign in (1.0, -1.0):
+                    perturbed = AttackStrategy(tuple(x), b + sign * db, 0.0)
+                    rss_s = detector_spec("rss", g, m, perturbed).separation
+                    dominance_margin = min(dominance_margin, rss_s - drss_spec.separation)
 
-        # Matched-boost RSS and DRSS operating points coincide.
-        rss_spec = detector_spec("rss", geometry, model, strat)
-        pr = analytic_rates(rss_spec, MC_LOG_THRESHOLDS)
-        pd = analytic_rates(drss_spec, MC_LOG_THRESHOLDS)
-        gap = np.abs(np.subtract((pr.alpha, pr.beta), (pd.alpha, pd.beta))).max()
-        rate_identity = max(rate_identity, float(gap))
+            # Matched-boost RSS and DRSS operating points coincide.
+            rss_spec = detector_spec("rss", g, m, strat)
+            pr = analytic_rates(rss_spec, MC_LOG_THRESHOLDS)
+            pd = analytic_rates(drss_spec, MC_LOG_THRESHOLDS)
+            gap = np.abs(np.subtract((pr.alpha, pr.beta), (pd.alpha, pd.beta))).max()
+            rate_identity = max(rate_identity, float(gap))
 
         # Both location searches land in the same refined cell.
-        region = default_search_region(geometry, r)
-        step = max(region[1] - region[0], region[3] - region[2]) / 25.0
-        cfg = SearchConfig(min_distance=r, region=region, coarse_grid_step=step)
-        best_rss = optimize_true_location("rss", cfg, geometry, model)
-        best_drss = optimize_true_location("drss", cfg, geometry, model)
-        optimizer_gap = max(
-            optimizer_gap,
-            math.dist(best_rss.true_location, best_drss.true_location),
-        )
-        optimizer_tol = max(optimizer_tol, math.sqrt(2.0) * refined_grid_cell(cfg))
+        configs = []
+        for g, r in zip(geometries, radii):
+            region = default_search_region(g, r)
+            step = max(region[1] - region[0], region[3] - region[2]) / 25.0
+            configs.append(SearchConfig(min_distance=r, region=region, coarse_grid_step=step))
+            optimizer_tol = max(optimizer_tol, math.sqrt(2.0) * refined_grid_cell(configs[-1]))
+        best_rss, best_drss = optimize_true_location(("rss", "drss"), configs, geometry, model)
+        for a, b in zip(best_rss, best_drss):
+            optimizer_gap = max(optimizer_gap, math.dist(a.true_location, b.true_location))
 
         # KL is convex in the boost and minimized at the closed form.
-        p_grid = boost + np.linspace(-5.0, 5.0, 21)
-        phi = kl_rss(p_grid[:, None], x_t, geometry, model)
-        second = np.diff(phi, 2)
-        convexity_violation = max(convexity_violation, float(-(second.min())))
-        convexity_violation = max(convexity_violation, float(lhs - phi.min()))
+        p_grid = boost[:, None] + np.linspace(-5.0, 5.0, 21)
+        phi = kl_rss(p_grid[..., None], x_t[:, None], geometry, model)
+        second = np.diff(phi, 2, axis=-1)
+        convexity_violation = max(
+            convexity_violation, float(-(second.min())), float((lhs - phi.min(axis=-1)).max())
+        )
 
         # Uncorrelated special case: explicit inverse of the differenced
         # covariance, and the summation closed form of the minimized KL.
-        n = geometry.n_stations
-        white = build_covariance(geometry, 1.0, 0.0)
-        d_mat = build_d_matrix(white.covariance)
+        d_inv = np.linalg.inv(np.stack([build_d_matrix(w.covariance) for w in whites]))
         dinv_err = max(
             dinv_err,
-            float(
-                np.abs(
-                    np.linalg.inv(d_mat) - (np.eye(n - 1) - np.ones((n - 1, n - 1)) / n)
-                ).max()
-            ),
+            float(np.abs(d_inv - (np.eye(n - 1) - np.ones((n - 1, n - 1)) / n)).max()),
         )
         g = v - u
-        expected = 0.5 * (np.sum(g**2) - np.sum(g) ** 2 / n)
-        got = kl_rss_minimized(x_t, geometry, white)
+        expected = 0.5 * (np.sum(g**2, axis=-1) - np.sum(g, axis=-1) ** 2 / n)
+        got = kl_rss_minimized(x_t, geometry, _stack_models(whites))
         closed_form_err = max(
-            closed_form_err, abs(got - expected) / max(abs(expected), 1e-300)
+            closed_form_err,
+            float((np.abs(got - expected) / np.maximum(np.abs(expected), 1e-300)).max()),
         )
 
     checks = (

@@ -136,6 +136,62 @@ class TestClaimedMeanReuse:
         assert calls == [(3, 2)]
 
 
+class TestStackedObjectives:
+    """Stacked KL objectives and boosts equal the per-geometry calls."""
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        from lvsim.experiments import _stack_geometries, _stack_models
+
+        rng = np.random.default_rng(44)
+        setups = []
+        while len(setups) < 6:
+            setup = random_setup(rng)
+            if setup[0].n_stations == 4:
+                setups.append(setup)
+        geometries, models, x_t = zip(*setups)
+        return (
+            setups,
+            _stack_geometries(geometries),
+            _stack_models(models),
+            np.stack(x_t),
+        )
+
+    def test_single_points(self, stack):
+        setups, geometry, model, x_t = stack
+        boosts = optimal_power_boost(geometry.claimed_mean, mean_vector(geometry, x_t), model)
+        assert boosts.shape == (6,)
+        for objective in (kl_rss_minimized, kl_drss):
+            got = objective(x_t, geometry, model)
+            assert got.shape == (6,)
+            for t, (g, m, x) in enumerate(setups):
+                assert got[t] == objective(x, g, m)
+        for t, (g, m, x) in enumerate(setups):
+            assert boosts[t] == optimal_power_boost(g.claimed_mean, mean_vector(g, x), m)
+
+    def test_point_grids_and_boost_columns(self, stack):
+        setups, geometry, model, x_t = stack
+        pts = x_t[:, None, :] + np.random.default_rng(5).uniform(-90.0, 90.0, (6, 7, 2))
+        p_grid = np.linspace(-5.0, 5.0, 21) + np.arange(6.0)[:, None]
+        column = kl_rss(p_grid[..., None], x_t[:, None], geometry, model)
+        assert column.shape == (6, 21)
+        for t, (g, m, x) in enumerate(setups):
+            np.testing.assert_array_equal(column[t], kl_rss(p_grid[t, :, None], x, g, m))
+            for objective in (kl_rss_minimized, kl_drss):
+                np.testing.assert_array_equal(
+                    objective(pts, geometry, model)[t], objective(pts[t], g, m)
+                )
+
+    def test_search_takes_one_config_per_row(self, stack):
+        _, geometry, model, _ = stack
+        with pytest.raises(SearchError, match="6 geometries need as many search configs, got 5"):
+            optimize_true_location("drss", [SearchConfig(100.0)] * 5, geometry, model)
+        with pytest.raises(SearchError, match="unknown objective"):
+            optimize_true_location(("rss", "both"), [SearchConfig(100.0)] * 6, geometry, model)
+        with pytest.raises(SearchError, match="one geometry"):
+            default_search_region(geometry, 100.0)
+
+
 class TestKlDrss:
     def test_zero_at_claimed_location(self, fig3_geometry, fig3_model):
         assert kl_drss(CLAIMED, fig3_geometry, fig3_model) == pytest.approx(0.0, abs=1e-18)

@@ -127,6 +127,49 @@ class TestGeometryValidation:
             make_geometry(FIG1_BS, gamma=math.nan)
 
 
+STACK_BS = [
+    [[-250.0, 10.0], [0.0, -10.0], [250.0, 10.0]],
+    [[0.0, 10.0], [131.4, -9.3], [20.6, -0.9]],
+]
+STACK_CLAIMS = [[50.0, 5.0], [120.0, -30.0]]
+
+
+class TestGeometryStack:
+    def stack(self, bs=STACK_BS, claims=STACK_CLAIMS):
+        return make_geometry(np.array(bs), claimed=np.array(claims))
+
+    def test_rows_match_single_geometries_bit_for_bit(self):
+        stack = self.stack()
+        assert stack.n_stations == 3 and stack.claimed_mean.shape == (2, 3)
+        assert not stack.claimed_mean.flags.writeable
+        pts = np.random.default_rng(3).uniform(-600.0, 600.0, (2, 4, 5, 2))
+        got = mean_vector(stack, pts)
+        assert got.shape == (2, 4, 5, 3)
+        for t, (bs, claim) in enumerate(zip(STACK_BS, STACK_CLAIMS)):
+            one = make_geometry(bs, claimed=claim)
+            np.testing.assert_array_equal(stack.claimed_mean[t], one.claimed_mean)
+            np.testing.assert_array_equal(got[t], mean_vector(one, pts[t]))
+
+    @pytest.mark.parametrize(
+        "bs, claims, message",
+        [
+            ([STACK_BS[0], [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]], STACK_CLAIMS, "distinct"),
+            (STACK_BS, [STACK_CLAIMS[0], STACK_BS[1][2]], "coincides"),
+            (STACK_BS, [STACK_CLAIMS[0], [np.nan, 0.0]], "finite"),
+            (STACK_BS, [STACK_CLAIMS[0]], "one 2-D point per geometry"),
+        ],
+        ids=["duplicate-stations", "claim-on-station", "non-finite-claim", "claims-short"],
+    )
+    def test_each_row_is_checked(self, bs, claims, message):
+        with pytest.raises(GeometryError, match=message):
+            self.stack(bs, claims)
+
+    @pytest.mark.parametrize("location", [[1.0, 2.0], np.zeros((3, 2))])
+    def test_locations_need_one_row_per_geometry(self, location):
+        with pytest.raises(GeometryError, match="shape \\(T, ..., 2\\)"):
+            mean_vector(self.stack(), location)
+
+
 class TestCovariance:
     def test_halving_at_correlation_distance(self):
         geo = make_geometry([[0.0, 0.0], [30.0, 0.0]], claimed=[5.0, 5.0])

@@ -181,6 +181,11 @@ class TestScenarioFile:
         with pytest.raises(ScenarioFileError, match="pairwise distinct"):
             parse_scenario_file(write(tmp_path, text))
 
+    def test_nan_sigma_rejected_when_parsed(self, tmp_path):
+        text = FIG1_FILE.replace("sigma_db = 7.5\n", "sigma_db = nan\n")
+        with pytest.raises(ScenarioFileError, match="^invalid scenario: sigma_db must be positive"):
+            parse_scenario_file(write(tmp_path, text))
+
     def test_missing_required_key(self, tmp_path):
         text = FIG1_FILE.replace("sigma_db = 7.5\n", "")
         with pytest.raises(ScenarioFileError, match="sigma_db"):

@@ -169,6 +169,16 @@ class TestAnalyticRates:
         assert (lo.alpha, lo.beta) == (0.0, 0.0)
         assert (hi.alpha, hi.beta) == (1.0, 1.0)
 
+    def test_infinite_thresholds_give_zero_and_one(self, fig1_model):
+        spec = make_spec(fig1_model.covariance)
+        assert analytic_rates(spec, np.inf) == RatePair(0.0, 0.0)
+        assert analytic_rates(spec, -np.inf) == RatePair(1.0, 1.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, [0.0, np.nan], [[np.nan]]])
+    def test_nan_threshold_named(self, fig1_model, lam):
+        with pytest.raises(DetectorError, match="ln λ is NaN"):
+            analytic_rates(make_spec(fig1_model.covariance), lam)
+
     def test_beta_is_shifted_alpha(self, fig1_model):
         spec = make_spec(fig1_model.covariance)
         s = spec.separation
@@ -209,6 +219,10 @@ class TestAnalyticRates:
 
 
 class TestRocSweep:
+    def test_nan_threshold_named(self, fig1_model):
+        with pytest.raises(DetectorError, match="ln λ is NaN"):
+            roc_sweep(make_spec(fig1_model.covariance), [np.nan, 1.0])
+
     def test_auc_above_chance(self, fig1_model):
         spec = make_spec(fig1_model.covariance)
         curve = roc_sweep(spec, default_threshold_grid(spec.separation))

@@ -13,6 +13,7 @@ from lvsim.experiments import (
     builtin_scenario,
     builtin_scenarios,
     resolve_attack,
+    roc_stage,
     run_scenario,
     verify_theorems,
 )
@@ -93,6 +94,57 @@ class TestRegistry:
             replace(base, min_distance=250.0, search=SearchConfig(min_distance=100.0))
         searched = replace(base, search=SearchConfig(min_distance=100.0, coarse_grid_step=20.0))
         assert searched.search_config().min_distance == searched.min_distance
+
+
+class TestScenarioValues:
+    """Numbers that would fail only inside a run are rejected when built."""
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0, math.inf])
+    def test_sigma_db(self, bad):
+        with pytest.raises(ScenarioError, match="sigma_db"):
+            replace(builtin_scenario("fig3"), sigma_db=bad)
+
+    @pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf])
+    def test_correlation_distance(self, bad):
+        with pytest.raises(ScenarioError, match="correlation_distance"):
+            replace(builtin_scenario("fig3"), correlation_distance=bad)
+
+    @pytest.mark.parametrize("bad", [(math.nan,), (-1.0,), (10.0, math.inf)])
+    def test_dc_values(self, bad):
+        with pytest.raises(ScenarioError, match="dc_values"):
+            replace(builtin_scenario("fig3"), dc_values=bad)
+
+    @pytest.mark.parametrize("bad", [(0.0,), (math.nan,), (100.0, -1.0)])
+    def test_r_values(self, bad):
+        with pytest.raises(ScenarioError, match="r_values"):
+            replace(builtin_scenario("fig3"), r_values=bad)
+
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0,), ()])
+    def test_thresholds(self, bad):
+        with pytest.raises(ScenarioError, match="thresholds"):
+            replace(builtin_scenario("fig3"), thresholds=bad)
+
+    def test_infinite_thresholds_accepted(self):
+        # ln λ = ±inf is a legal operating point: rates 0 and 1
+        scenario = replace(builtin_scenario("fig3"), thresholds=(-math.inf, 0.0, math.inf))
+        model = scenario.shadowing()
+        curve = roc_stage(scenario, "rss", model)[2]
+        assert curve.alpha.tolist()[::2] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("bad", [(), []])
+    def test_modes(self, bad):
+        with pytest.raises(ScenarioError, match="modes"):
+            replace(builtin_scenario("fig3"), modes=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_power_boost_db(self, bad):
+        with pytest.raises(ScenarioError, match="power_boost_db"):
+            AttackPolicy("fixed", (300.0, 5.0), bad)
+
+    @pytest.mark.parametrize("bad", [(math.nan, 5.0), (300.0, math.inf), (300.0,)])
+    def test_true_location(self, bad):
+        with pytest.raises(ScenarioError, match="true_location"):
+            AttackPolicy("fixed-location", bad)
 
 
 class TestResolveAttack:

@@ -4,9 +4,11 @@ The package itself does not use scipy; these tests recompute every quadratic
 form with ``scipy.linalg.cho_solve`` and every Gaussian tail with
 ``scipy.stats.norm`` and require agreement to rounding.  The location search
 and ``mean_vector`` are checked bit for bit against a plain meshgrid /
-``np.linalg.norm`` copy kept here.
+``np.linalg.norm`` copy kept here, and the stacked ``verify_theorems`` and
+stacked searches against the one-geometry-at-a-time loop they replace.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -28,6 +30,7 @@ from lvsim.adversary import (
     kl_rss_minimized,
     optimal_power_boost,
     optimize_true_location,
+    refined_grid_cell,
 )
 from lvsim.channel import GeometryError, build_covariance, mean_vector, sample_observations
 from lvsim.detector import (
@@ -41,7 +44,18 @@ from lvsim.detector import (
     q_function,
     roc_sweep,
 )
-from lvsim.experiments import builtin_scenarios, detector_spec, resolve_attack
+from lvsim.experiments import (
+    MC_LOG_THRESHOLDS,
+    CheckResult,
+    VerificationReport,
+    _random_geometry,
+    _stack_geometries,
+    _stack_models,
+    builtin_scenarios,
+    detector_spec,
+    resolve_attack,
+    verify_theorems,
+)
 from lvsim.montecarlo import estimate_kl
 
 from conftest import CLAIMED, random_setup
@@ -211,6 +225,20 @@ REFERENCE_PASSES = 6
 REFERENCE_SHRINK = 0.5
 
 
+def reference_argmin_lex(points, values):
+    """Minimum value; ties within 1e-12 broken by lexicographic (x, y)."""
+    vmin = values.min()
+    mask = values <= vmin + 1e-12
+    hits = mask.nonzero()[0]
+    if hits.size == 1:
+        return points[hits[0]], float(values[hits[0]])
+    cand = points[hits]
+    cand_vals = values[hits]
+    order = np.lexsort((cand[:, 1], cand[:, 0]))
+    best = order[0]
+    return cand[best], float(cand_vals[best])
+
+
 def reference_search(objective, config, geometry, model):
     """The location search built from meshgrid / linspace / vstack grids.
 
@@ -229,7 +257,7 @@ def reference_search(objective, config, geometry, model):
 
     def best(pts):
         pts = pts[feasible(pts)]
-        return adversary._argmin_lex(pts, np.atleast_1d(evaluate(pts, geometry, model)))
+        return reference_argmin_lex(pts, np.atleast_1d(evaluate(pts, geometry, model)))
 
     step = config.coarse_grid_step
     xs = np.arange(xmin, xmax + 0.5 * step, step)
@@ -324,3 +352,167 @@ def test_search_scores_reference_candidates(deployments, objective, monkeypatch)
         assert len(got) == len(calls) == 1 + REFERENCE_PASSES
         for a, b in zip(got, calls):
             np.testing.assert_array_equal(a, b)
+
+
+def reference_verify(trials, seed):
+    """verify_theorems as a loop over single geometries, one trial at a time.
+
+    Each trial draws its geometry, then runs every check on it through the
+    unstacked public functions: two location searches, one per objective.
+    """
+    rng = np.random.default_rng(seed)
+
+    kl_identity = 0.0
+    dominance_margin = np.inf
+    rate_identity = 0.0
+    optimizer_gap = 0.0
+    optimizer_tol = 0.0
+    convexity_violation = 0.0
+    dinv_err = 0.0
+    closed_form_err = 0.0
+
+    for _ in range(trials):
+        geometry, x_t, sigma, dc, r = _random_geometry(rng)
+        model = build_covariance(geometry, sigma, dc)
+        u = geometry.claimed_mean
+        v = mean_vector(geometry, x_t)
+        boost = optimal_power_boost(u, v, model)
+
+        lhs = kl_rss_minimized(x_t, geometry, model)
+        rhs = kl_drss(x_t, geometry, model)
+        kl_identity = max(kl_identity, abs(lhs - rhs) / max(abs(rhs), 1e-300))
+
+        strat = AttackStrategy(tuple(x_t), boost, lhs)
+        drss_spec = detector_spec("drss", geometry, model, strat)
+        for db in (1.0, 3.0, 10.0):
+            for sign in (1.0, -1.0):
+                perturbed = AttackStrategy(tuple(x_t), boost + sign * db, 0.0)
+                rss_s = detector_spec("rss", geometry, model, perturbed).separation
+                dominance_margin = min(dominance_margin, rss_s - drss_spec.separation)
+
+        rss_spec = detector_spec("rss", geometry, model, strat)
+        pr = analytic_rates(rss_spec, MC_LOG_THRESHOLDS)
+        pd = analytic_rates(drss_spec, MC_LOG_THRESHOLDS)
+        gap = np.abs(np.subtract((pr.alpha, pr.beta), (pd.alpha, pd.beta))).max()
+        rate_identity = max(rate_identity, float(gap))
+
+        region = default_search_region(geometry, r)
+        step = max(region[1] - region[0], region[3] - region[2]) / 25.0
+        cfg = SearchConfig(min_distance=r, region=region, coarse_grid_step=step)
+        best_rss = optimize_true_location("rss", cfg, geometry, model)
+        best_drss = optimize_true_location("drss", cfg, geometry, model)
+        optimizer_gap = max(
+            optimizer_gap,
+            math.dist(best_rss.true_location, best_drss.true_location),
+        )
+        optimizer_tol = max(optimizer_tol, math.sqrt(2.0) * refined_grid_cell(cfg))
+
+        p_grid = boost + np.linspace(-5.0, 5.0, 21)
+        phi = kl_rss(p_grid[:, None], x_t, geometry, model)
+        second = np.diff(phi, 2)
+        convexity_violation = max(convexity_violation, float(-(second.min())))
+        convexity_violation = max(convexity_violation, float(lhs - phi.min()))
+
+        n = geometry.n_stations
+        white = build_covariance(geometry, 1.0, 0.0)
+        d_mat = build_d_matrix(white.covariance)
+        dinv_err = max(
+            dinv_err,
+            float(
+                np.abs(
+                    np.linalg.inv(d_mat) - (np.eye(n - 1) - np.ones((n - 1, n - 1)) / n)
+                ).max()
+            ),
+        )
+        g = v - u
+        expected = 0.5 * (np.sum(g**2) - np.sum(g) ** 2 / n)
+        got = kl_rss_minimized(x_t, geometry, white)
+        closed_form_err = max(
+            closed_form_err, abs(got - expected) / max(abs(expected), 1e-300)
+        )
+
+    checks = (
+        CheckResult("kl-identity-rss-drss", kl_identity < 1e-9, kl_identity, 1e-9),
+        CheckResult(
+            "suboptimal-boost-dominance",
+            dominance_margin > 0.0,
+            float(dominance_margin),
+            0.0,
+        ),
+        CheckResult("rate-identity-rss-drss", rate_identity < 1e-9, rate_identity, 1e-9),
+        CheckResult(
+            "location-optimizer-coincidence",
+            optimizer_gap <= optimizer_tol,
+            optimizer_gap,
+            optimizer_tol,
+        ),
+        CheckResult(
+            "boost-convexity", convexity_violation <= 1e-9, convexity_violation, 1e-9
+        ),
+        CheckResult("uncorrelated-d-inverse", dinv_err < 1e-9, dinv_err, 1e-9),
+        CheckResult(
+            "uncorrelated-closed-form-kl", closed_form_err < 1e-9, closed_form_err, 1e-9
+        ),
+    )
+    return VerificationReport(checks=checks, trials=trials, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "trials, seed", [(100, s) for s in (1, 2, 7, 11)] + [(5, s) for s in range(20)]
+)
+def test_stacked_verify_equals_reference_bitwise(trials, seed):
+    # every stacked reduction is a batched matmul whose slices round as the
+    # per-geometry products do, so no discrepancy may move
+    got, want = verify_theorems(trials, seed), reference_verify(trials, seed)
+    assert [(c.name, c.passed) for c in got.checks] == [(c.name, c.passed) for c in want.checks]
+    assert got.checks == want.checks
+    assert got.to_json() == want.to_json()
+
+
+@pytest.fixture(scope="module")
+def deployment_stacks(deployments):
+    """The deployments grouped by N: (geometries, models, configs, stacks)."""
+    groups = {}
+    for geometry, model, r in deployments:
+        groups.setdefault(geometry.n_stations, []).append((geometry, model, SearchConfig(r)))
+    return [
+        (gs, ms, cs, _stack_geometries(gs), _stack_models(ms))
+        for gs, ms, cs in (zip(*group) for group in groups.values())
+    ]
+
+
+def test_stacked_search_equals_per_geometry_bitwise(deployment_stacks):
+    searched = 0
+    for geometries, models, configs, geometry, model in deployment_stacks:
+        both = optimize_true_location(("rss", "drss"), configs, geometry, model)
+        alone = [optimize_true_location(o, configs, geometry, model) for o in ("rss", "drss")]
+        for objective, rows, solo in zip(("rss", "drss"), both, alone):
+            assert len(rows) == len(solo) == len(geometries)
+            for got, got_solo, g, m, c in zip(rows, solo, geometries, models, configs):
+                want = optimize_true_location(objective, c, g, m)
+                assert got == got_solo == want
+                searched += 1
+    assert searched == 420
+
+
+def test_stacked_search_scores_in_chunks(deployment_stacks, monkeypatch):
+    # no KL call scores more padded nodes than the chunk cap
+    geometries, models, configs, geometry, model = deployment_stacks[0]
+    monkeypatch.setattr(adversary, "_CHUNK_NODES", 2000)
+    sizes = []
+    original = adversary.kl_drss
+
+    def recording(x_t, *args):
+        sizes.append(np.shape(x_t))
+        return original(x_t, *args)
+
+    monkeypatch.setattr(adversary, "kl_drss", recording)
+    rows = optimize_true_location("drss", configs, geometry, model)
+    coarse = [shape for shape in sizes if shape[1] > 82]
+    assert len(coarse) > 1
+    assert sum(shape[0] for shape in coarse) == len(geometries)
+    assert all(shape[0] * shape[1] <= 2000 or shape[0] == 1 for shape in coarse)
+    assert len(sizes) == len(coarse) * (1 + REFERENCE_PASSES)
+    assert rows == tuple(
+        optimize_true_location("drss", c, g, m) for g, m, c in zip(geometries, models, configs)
+    )
