@@ -9,7 +9,7 @@ subject to the minimum-distance constraint).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,8 @@ _REFINE_PASSES = 6  # refinement passes after the coarse grid
 _REFINE_SHRINK = 0.5  # half-width factor from one pass to the next
 _TIE_EPS = 1e-12
 _MAX_GRID_POINTS = 1_000_000  # coarse-grid cap, checked before allocation
-# Cap on one chunk's padded coarse nodes, objectives x rows x largest grid:
+# Cap on one chunk's padded coarse nodes, objectives x rows x the longest x
+# axis x the longest y axis:
 # a stack of geometries is searched in chunks that keep every KL call's
 # temporaries small.  At 4096, `lvsim reproduce` peaks at the memory of the
 # one-geometry search; at 8192 its maxrss rose by 0.6 MB.
@@ -237,43 +238,29 @@ def _pack(points: np.ndarray, keep: np.ndarray) -> np.ndarray:
     first, so it can neither win nor break a tie.
     """
     kept = points[keep]
-    if len(keep) == 1:  # one row: nothing to pad
-        if not len(kept):
-            raise SearchError("feasible region is empty")
-        return kept[None]
-    counts = keep.sum(axis=-1)
-    if not counts.all():
+    counts = np.add.reduce(keep, axis=-1)
+    sizes = counts.tolist()  # Python min and max: cheaper for few rows
+    if not min(sizes):
         raise SearchError("feasible region is empty")
-    widest = counts.max()
-    if len(kept) == len(counts) * widest:
-        return kept.reshape(len(counts), widest, 2)
+    widest = max(sizes)
+    if len(kept) == len(sizes) * widest:
+        return kept.reshape(len(sizes), widest, 2)
     first = np.cumsum(counts) - counts
     j = np.arange(widest)
     return kept[first[:, None] + np.where(j < counts[:, None], j, 0)]
 
 
-def _chunks(sizes, n_objectives: int):
+def _chunks(shapes, n_objectives: int):
     """Contiguous row slices holding at most _CHUNK_NODES padded coarse nodes
-    (objectives x rows x the chunk's largest coarse grid), one row at least."""
-    start, widest = 0, 0
-    for i, size in enumerate(sizes):
-        widest = max(widest, size)
-        if i > start and n_objectives * (i + 1 - start) * widest > _CHUNK_NODES:
+    (objectives x rows x the chunk's longest x axis x its longest y axis),
+    one row at least.  ``shapes`` holds each row's coarse (nx, ny)."""
+    start, wx, wy = 0, 0, 0
+    for i, (nx, ny) in enumerate(shapes):
+        wx, wy = max(wx, nx), max(wy, ny)
+        if i > start and n_objectives * (i + 1 - start) * wx * wy > _CHUNK_NODES:
             yield slice(start, i)
-            start, widest = i, size
-    yield slice(start, len(sizes))
-
-
-def _substack(geometry: NetworkGeometry, model: ShadowingModel, rows: slice):
-    """The geometry and model stacks of the given rows."""
-    sub = NetworkGeometry(
-        geometry.bs_positions[rows],
-        geometry.claimed_location[rows],
-        geometry.ref_power_db,
-        geometry.ref_distance_m,
-        geometry.path_loss_exponent,
-    )
-    return sub, ShadowingModel(**{f.name: getattr(model, f.name)[rows] for f in fields(model)})
+            start, wx, wy = i, nx, ny
+    yield slice(start, len(shapes))
 
 
 def optimize_true_location(
@@ -309,13 +296,13 @@ def optimize_true_location(
         c.region if c.region is not None else _padded_box(b, 2.0 * c.min_distance)
         for c, b in zip(configs, bs)
     ]
-    sizes = [math.prod(_coarse_shape(reg, c.coarse_grid_step)) for reg, c in zip(regions, configs)]
+    shapes = [_coarse_shape(reg, c.coarse_grid_step) for reg, c in zip(regions, configs)]
 
     found = [[] for _ in objectives]
-    for chunk in _chunks(sizes, len(objectives)):
+    for chunk in _chunks(shapes, len(objectives)):
         g, m = geometry, model
         if stacked and chunk != slice(0, len(bs)):
-            g, m = _substack(geometry, model, chunk)
+            g, m = geometry.take(chunk), model.take(chunk)
         incumbent, value = _search_rows(objectives, configs[chunk], regions[chunk], g, m)
         for j, name in enumerate(objectives):
             kls = value[j].tolist()
@@ -363,23 +350,25 @@ def _search_rows(objectives, configs, regions, geometry, model):
     rows = np.arange(n_rows)
 
     def tensor_grid(axes, out):
-        # out (rows, n, n, 2): the tensor grid of each row's x and y axis
-        # values axes (rows, n, 2), in (x, y)-lexicographic order.  Returns
-        # its feasibility mask (rows, n, n): outside the open disc, with
+        # out (rows, nx, ny, 2): the tensor grid of each row's first nx x
+        # axis values and first ny y axis values, axes (rows, n, 2) with
+        # n >= nx, ny, in (x, y)-lexicographic order.  Returns its
+        # feasibility mask (rows, nx, ny): outside the open disc, with
         # sqrt(dx*dx + dy*dy) bit-identical to np.linalg.norm, and not
         # exactly on a base station (undefined path loss).  ex*ex + ey*ey > 0
         # fails only where both squares are 0, so the station test splits
         # into per-axis hits.  NaN coordinates fail every comparison, so they
         # are never feasible.
-        out[..., 0] = axes[:, :, None, 0]
-        out[..., 1] = axes[:, None, :, 1]
+        nx, ny = out.shape[1:3]
+        out[..., 0] = axes[:, :nx, None, 0]
+        out[..., 1] = axes[:, None, :ny, 1]
         d = axes - xc
         d *= d
-        ok = np.sqrt(d[:, :, None, 0] + d[:, None, :, 1]) >= r
+        ok = np.sqrt(d[:, :nx, None, 0] + d[:, None, :ny, 1]) >= r
         e = axes[:, :, None, :] - bs
         on = e * e == 0.0
         for t, station in zip(*on.any(axis=1).all(axis=-1).nonzero()):
-            ok[t][np.ix_(on[t, :, station, 0], on[t, :, station, 1])] = False
+            ok[t][np.ix_(on[t, :nx, station, 0], on[t, :ny, station, 1])] = False
         return ok
 
     def score(points):
@@ -388,18 +377,19 @@ def _search_rows(objectives, configs, regions, geometry, model):
         return (values[0] if k == 1 else np.concatenate(values)).reshape(n_rows, -1)
 
     # coarse grid: each row's np.arange axes, padded with NaN to the longest
+    # axis; the grid spans the longest x axis by the longest y axis
     lines = [
         (np.arange(x0, x1 + 0.5 * s, s), np.arange(y0, y1 + 0.5 * s, s))
         for (x0, x1, y0, y1), s in zip(regions, (c.coarse_grid_step for c in configs))
     ]
-    width = max(len(line) for pair in lines for line in pair)
-    axes = np.full((n_geo, width, 2), np.nan)
+    nx, ny = (max(len(pair[i]) for pair in lines) for i in (0, 1))
+    axes = np.full((n_geo, max(nx, ny), 2), np.nan)
     for t, (ax, ay) in enumerate(lines):
         axes[t, : len(ax), 0] = ax
         axes[t, : len(ay), 1] = ay
     if k > 1:
         axes = np.concatenate([axes] * k)
-    grid = np.empty((n_rows, width, width, 2))
+    grid = np.empty((n_rows, nx, ny, 2))
     mask = tensor_grid(axes, grid)
     pts = _pack(grid.reshape(n_rows, -1, 2), mask.reshape(n_rows, -1))
     incumbent, value = _argmin_rows(pts, score(pts), rows)

@@ -50,7 +50,9 @@ class NetworkGeometry:
     A stack of T geometries that share N has ``bs_positions`` of shape
     (T, N, 2), ``claimed_location`` of shape (T, 2) and ``claimed_mean`` of
     shape (T, N); each row is checked as one geometry is, and the path-loss
-    scalars are shared.  One geometry is the unstacked case.
+    scalars are shared.  ``NetworkGeometry.stack`` builds one from single
+    geometries and ``take`` selects its rows.  One geometry is the unstacked
+    case.
     """
 
     bs_positions: np.ndarray  # (N, 2), or (T, N, 2) for a stack
@@ -93,6 +95,32 @@ class NetworkGeometry:
     def n_stations(self) -> int:
         return self.bs_positions.shape[-2]
 
+    @classmethod
+    def stack(cls, geometries) -> NetworkGeometry:
+        """The stack of geometries that share N and the path-loss scalars."""
+        first = geometries[0]
+        scalars = (first.ref_power_db, first.ref_distance_m, first.path_loss_exponent)
+        for g in geometries:
+            if g.bs_positions.shape != first.bs_positions.shape:
+                raise GeometryError("stacked geometries must each hold the same N stations")
+            if (g.ref_power_db, g.ref_distance_m, g.path_loss_exponent) != scalars:
+                raise GeometryError("stacked geometries must share the path-loss scalars")
+        return cls(
+            np.array([g.bs_positions for g in geometries]),
+            np.array([g.claimed_location for g in geometries]),
+            *scalars,
+        )
+
+    def take(self, rows) -> NetworkGeometry:
+        """The stack of the given rows (a slice or index array) of this stack."""
+        return NetworkGeometry(
+            self.bs_positions[rows],
+            self.claimed_location[rows],
+            self.ref_power_db,
+            self.ref_distance_m,
+            self.path_loss_exponent,
+        )
+
     def __reduce__(self):
         # copies and unpickled geometries are rebuilt through the constructor,
         # so their claimed_mean is recomputed and read-only again
@@ -120,7 +148,8 @@ class ShadowingModel:
     ``d_whitener`` does the same for the differenced covariance D.
     ``diag_jitter`` records any stabilization added to the diagonal (zero in
     the normal case).  A model stack, for a stack of geometries, holds the
-    ``np.stack`` of the per-geometry values of every field.
+    ``np.stack`` of the per-geometry values of every field
+    (``ShadowingModel.stack``; ``take`` selects its rows).
     """
 
     sigma_db: float
@@ -130,6 +159,15 @@ class ShadowingModel:
     whitener: np.ndarray
     d_whitener: np.ndarray
     diag_jitter: float = 0.0
+
+    @classmethod
+    def stack(cls, models) -> ShadowingModel:
+        """The model stack of per-geometry models: every field, stacked."""
+        return cls(**{f.name: np.array([getattr(m, f.name) for m in models]) for f in fields(cls)})
+
+    def take(self, rows) -> ShadowingModel:
+        """The model stack of the given rows (a slice or index array)."""
+        return ShadowingModel(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
 def mean_vector(geometry: NetworkGeometry, location) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +65,10 @@ _H1_STREAM_KEYS = {"rss": 1, "drss": 2}
 
 # Claimed location shared by every published configuration.
 _CLAIMED = (50.0, 5.0)
+
+# verify_theorems draws and checks its geometries in blocks of this many
+# trials, so the stacks it holds stay the same size however many it runs.
+_VERIFY_BLOCK = 256
 
 
 class ScenarioError(ValueError):
@@ -533,42 +537,31 @@ def _random_geometry(rng: np.random.Generator):
     return geometry, x_t, sigma, dc, r
 
 
-def _stack_geometries(geometries) -> NetworkGeometry:
-    """One geometry stack of geometries that share N and the path-loss law."""
-    first = geometries[0]
-    return NetworkGeometry(
-        np.array([g.bs_positions for g in geometries]),
-        np.array([g.claimed_location for g in geometries]),
-        first.ref_power_db,
-        first.ref_distance_m,
-        first.path_loss_exponent,
-    )
-
-
-def _stack_models(models) -> ShadowingModel:
-    """The model stack: every field's per-geometry values, stacked."""
-    return ShadowingModel(
-        **{f.name: np.array([getattr(m, f.name) for m in models]) for f in fields(ShadowingModel)}
-    )
+def _geometry_groups(trials: int, seed: int):
+    """verify_theorems' random draws, in their RNG order, taken in blocks of
+    ``_VERIFY_BLOCK`` trials and yielded as (N, draws) groups per block."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, _VERIFY_BLOCK):
+        by_n = {}
+        for _ in range(min(_VERIFY_BLOCK, trials - start)):
+            draw = _random_geometry(rng)
+            by_n.setdefault(draw[0].n_stations, []).append(draw)
+        yield from by_n.items()
 
 
 def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
     """Stress-test the analytic identities on random geometries.
 
     Each check aggregates its worst-case discrepancy across all trials.  The
-    geometries are drawn first, then checked in stacks of equal N: one
-    stacked call per KL identity, boost and convexity check, and one location
-    search per stack for both objectives.  Covariances and detector specs
-    are built per geometry.
+    geometries are drawn in blocks of ``_VERIFY_BLOCK`` trials, and each
+    block is checked in stacks of equal N: one stacked call per KL identity,
+    boost and convexity check, and one location search per stack for both
+    objectives.  Covariances and detector specs are built per geometry.
     """
     if not (_is_count(trials) and trials >= 1):
         raise ScenarioError(f"trials must be a positive integer, got {trials!r}")
     if not (_is_count(seed) and seed >= 0):
         raise ScenarioError(f"seed must be a nonnegative integer, got {seed!r}")
-    rng = np.random.default_rng(seed)
-    by_n = {}
-    for draw in (_random_geometry(rng) for _ in range(trials)):
-        by_n.setdefault(draw[0].n_stations, []).append(draw)
 
     kl_identity = 0.0
     dominance_margin = np.inf
@@ -579,11 +572,11 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
     dinv_err = 0.0
     closed_form_err = 0.0
 
-    for n, group in by_n.items():
+    for n, group in _geometry_groups(trials, seed):
         geometries, x_t, sigmas, dcs, radii = zip(*group)
         models = [build_covariance(g, s, dc) for g, s, dc in zip(geometries, sigmas, dcs)]
         whites = [build_covariance(g, 1.0, 0.0) for g in geometries]
-        geometry, model = _stack_geometries(geometries), _stack_models(models)
+        geometry, model = NetworkGeometry.stack(geometries), ShadowingModel.stack(models)
         x_t = np.stack(x_t)
         u = geometry.claimed_mean
         v = mean_vector(geometry, x_t)
@@ -641,7 +634,7 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
         )
         g = v - u
         expected = 0.5 * (np.sum(g**2, axis=-1) - np.sum(g, axis=-1) ** 2 / n)
-        got = kl_rss_minimized(x_t, geometry, _stack_models(whites))
+        got = kl_rss_minimized(x_t, geometry, ShadowingModel.stack(whites))
         closed_form_err = max(
             closed_form_err,
             float((np.abs(got - expected) / np.maximum(np.abs(expected), 1e-300)).max()),

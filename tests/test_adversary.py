@@ -18,7 +18,7 @@ from lvsim.adversary import (
     optimize_true_location,
     refined_grid_cell,
 )
-from lvsim.channel import build_covariance, mean_vector
+from lvsim.channel import NetworkGeometry, ShadowingModel, build_covariance, mean_vector
 
 from conftest import CLAIMED, make_geometry, random_setup
 
@@ -141,8 +141,6 @@ class TestStackedObjectives:
 
     @pytest.fixture(scope="class")
     def stack(self):
-        from lvsim.experiments import _stack_geometries, _stack_models
-
         rng = np.random.default_rng(44)
         setups = []
         while len(setups) < 6:
@@ -152,8 +150,8 @@ class TestStackedObjectives:
         geometries, models, x_t = zip(*setups)
         return (
             setups,
-            _stack_geometries(geometries),
-            _stack_models(models),
+            NetworkGeometry.stack(geometries),
+            ShadowingModel.stack(models),
             np.stack(x_t),
         )
 
@@ -331,6 +329,44 @@ class TestLocationSearch:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_elongated_grid_at_the_cap_holds_only_its_nodes(self, fig3_geometry, fig3_model):
+        # 1,000,000 x 1 nodes: padding the grid to the square of its longer
+        # axis would ask for 10^12 nodes
+        cfg = SearchConfig(
+            min_distance=100.0, region=(0.0, 999999.0, 0.0, 0.0), coarse_grid_step=1.0
+        )
+        tracemalloc.start()
+        try:
+            strat = optimize_true_location("drss", cfg, fig3_geometry, fig3_model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert strat.true_location[1] == 0.0 and strat.true_location[0] >= 150.0
+        # the grid and the KL call's temporaries take about 170 bytes a node
+        assert peak < 256 * 1_000_000
+
+    def test_stack_of_crossed_elongated_grids_is_chunked(self, fig3_geometry, fig3_model):
+        # a row long in x beside a row long in y pads to 2 x 2000 x 2000
+        # nodes, far above the chunk cap: each row is searched on its own
+        configs = [
+            SearchConfig(min_distance=100.0, region=(0.0, 1999.0, 0.0, 0.0), coarse_grid_step=1.0),
+            SearchConfig(
+                min_distance=100.0, region=(150.0, 150.0, 0.0, 1999.0), coarse_grid_step=1.0
+            ),
+        ]
+        geometry = NetworkGeometry.stack([fig3_geometry] * 2)
+        model = ShadowingModel.stack([fig3_model] * 2)
+        tracemalloc.start()
+        try:
+            rows = optimize_true_location("drss", configs, geometry, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+        assert rows == tuple(
+            optimize_true_location("drss", c, fig3_geometry, fig3_model) for c in configs
+        )
 
     def test_grid_at_the_cap_is_accepted(self):
         # 1000 x 1000 nodes: exactly the cap

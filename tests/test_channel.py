@@ -1,7 +1,7 @@
 import copy
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ import pytest
 from lvsim.channel import (
     CovarianceError,
     GeometryError,
+    NetworkGeometry,
+    ShadowingModel,
     build_covariance,
     mean_vector,
     sample_observation,
@@ -168,6 +170,26 @@ class TestGeometryStack:
     def test_locations_need_one_row_per_geometry(self, location):
         with pytest.raises(GeometryError, match="shape \\(T, ..., 2\\)"):
             mean_vector(self.stack(), location)
+
+    def test_stack_and_take_rows(self):
+        singles = [make_geometry(bs, claimed=c) for bs, c in zip(STACK_BS, STACK_CLAIMS)]
+        stack = NetworkGeometry.stack(singles)
+        assert stack == self.stack()
+        np.testing.assert_array_equal(stack.claimed_mean, self.stack().claimed_mean)
+        assert stack.take(slice(1, 2)) == NetworkGeometry.stack(singles[1:])
+        models = [build_covariance(g, 6.0, 40.0) for g in singles]
+        rows = ShadowingModel.stack(models).take(slice(1, 2))
+        for f in fields(ShadowingModel):
+            np.testing.assert_array_equal(getattr(rows, f.name), [getattr(models[1], f.name)])
+
+    def test_stack_needs_shared_n_and_path_loss(self):
+        three = make_geometry(STACK_BS[0], claimed=STACK_CLAIMS[0])
+        two = make_geometry(STACK_BS[0][:2], claimed=STACK_CLAIMS[0])
+        with pytest.raises(GeometryError, match="same N"):
+            NetworkGeometry.stack([three, two])
+        steeper = replace(three, path_loss_exponent=4.0)
+        with pytest.raises(GeometryError, match="path-loss"):
+            NetworkGeometry.stack([three, steeper])
 
 
 class TestCovariance:

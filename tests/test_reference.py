@@ -32,7 +32,14 @@ from lvsim.adversary import (
     optimize_true_location,
     refined_grid_cell,
 )
-from lvsim.channel import GeometryError, build_covariance, mean_vector, sample_observations
+from lvsim.channel import (
+    GeometryError,
+    NetworkGeometry,
+    ShadowingModel,
+    build_covariance,
+    mean_vector,
+    sample_observations,
+)
 from lvsim.detector import (
     DetectorSpec,
     RatePair,
@@ -48,9 +55,8 @@ from lvsim.experiments import (
     MC_LOG_THRESHOLDS,
     CheckResult,
     VerificationReport,
+    _VERIFY_BLOCK,
     _random_geometry,
-    _stack_geometries,
-    _stack_models,
     builtin_scenarios,
     detector_spec,
     resolve_attack,
@@ -458,11 +464,13 @@ def reference_verify(trials, seed):
 
 
 @pytest.mark.parametrize(
-    "trials, seed", [(100, s) for s in (1, 2, 7, 11)] + [(5, s) for s in range(20)]
+    "trials, seed",
+    [(100, s) for s in (1, 2, 7, 11)] + [(5, s) for s in range(20)] + [(_VERIFY_BLOCK + 44, 3)],
 )
 def test_stacked_verify_equals_reference_bitwise(trials, seed):
     # every stacked reduction is a batched matmul whose slices round as the
-    # per-geometry products do, so no discrepancy may move
+    # per-geometry products do, so no discrepancy may move; the last case spans
+    # two blocks of draws
     got, want = verify_theorems(trials, seed), reference_verify(trials, seed)
     assert [(c.name, c.passed) for c in got.checks] == [(c.name, c.passed) for c in want.checks]
     assert got.checks == want.checks
@@ -476,7 +484,7 @@ def deployment_stacks(deployments):
     for geometry, model, r in deployments:
         groups.setdefault(geometry.n_stations, []).append((geometry, model, SearchConfig(r)))
     return [
-        (gs, ms, cs, _stack_geometries(gs), _stack_models(ms))
+        (gs, ms, cs, NetworkGeometry.stack(gs), ShadowingModel.stack(ms))
         for gs, ms, cs in (zip(*group) for group in groups.values())
     ]
 
