@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NetworkGeometry, ShadowingModel, _per_row, mean_vector
+from .channel import NetworkGeometry, ShadowingModel, _dot, _per_row, mean_vector
 
 __all__ = [
     "SearchError",
@@ -33,11 +33,10 @@ _REFINE_PASSES = 6  # refinement passes after the coarse grid
 _REFINE_SHRINK = 0.5  # half-width factor from one pass to the next
 _TIE_EPS = 1e-12
 _MAX_GRID_POINTS = 1_000_000  # coarse-grid cap, checked before allocation
-# Cap on one chunk's padded coarse nodes, objectives x rows x the longest x
-# axis x the longest y axis:
-# a stack of geometries is searched in chunks that keep every KL call's
-# temporaries small.  At 4096, `lvsim reproduce` peaks at the memory of the
-# one-geometry search; at 8192 its maxrss rose by 0.6 MB.
+# Cap on the padded points one KL call scores: a stack of geometries is
+# searched in chunks that keep every KL call's temporaries small.  No call
+# scores more unless one row alone does.  At 4096, `lvsim reproduce` peaks at
+# the memory of the one-geometry search; at 8192 its maxrss rose by 0.6 MB.
 _CHUNK_NODES = 4096
 
 
@@ -136,14 +135,6 @@ def _whiten(b: np.ndarray, whitener: np.ndarray) -> np.ndarray:
     return (rows @ np.swapaxes(whitener, -1, -2)).reshape(b.shape)
 
 
-def _dot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a . w over the last axis of ``a``; a stacked w (T, n) meets row t of
-    a (T, ..., n) as w[t], again rounding as the per-geometry products do."""
-    if w.ndim == 1:
-        return a @ w
-    return (a.reshape(len(w), -1, a.shape[-1]) @ w[..., None]).reshape(a.shape[:-1])
-
-
 def _rowwise(w: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Per-geometry vector ``w``, shaped to meet ``target`` (..., n) row by
     row: a stack's (T, n) becomes (T, 1, ..., 1, n)."""
@@ -157,7 +148,7 @@ def optimal_power_boost(u: np.ndarray, v: np.ndarray, model: ShadowingModel):
     a float for one geometry, and an array of shape (T,) for u and v of
     shape (T, N) with a model stack.
     """
-    ones = model.whitener.sum(axis=-1)
+    ones = model.whitened_ones
     boost = _dot(_whiten(np.asarray(u, dtype=float) - v, model.whitener), ones) / _dot(ones, ones)
     return float(boost) if boost.ndim == 0 else boost
 
@@ -185,8 +176,7 @@ def kl_rss_minimized(x_t, geometry: NetworkGeometry, model: ShadowingModel):
     """
     v = mean_vector(geometry, x_t)
     z = _whiten(v - _rowwise(geometry.claimed_mean, v), model.whitener)
-    ones = model.whitener.sum(axis=-1)
-    unit = ones / np.sqrt(_dot(ones, ones))[..., None]
+    unit = model.whitened_unit
     return _half_sq_norm(z - _dot(z, unit)[..., None] * _rowwise(unit, z))
 
 
@@ -281,8 +271,11 @@ def optimize_true_location(
 
     One geometry takes one SearchConfig and gives one AttackStrategy.  A
     stack of T geometries takes a sequence of T configs, one per row, and
-    gives a tuple of T strategies; its rows are searched together, in
-    chunks of at most ``_CHUNK_NODES`` padded coarse nodes.
+    gives a tuple of T strategies.  Its coarse round runs in chunks of at
+    most ``_CHUNK_NODES`` padded coarse nodes; its refinement passes, which
+    score 82 points per row, run in chunks of
+    ``_CHUNK_NODES // (objectives * 82)`` rows, one at least.  A stack that
+    fits in one chunk of each is searched in one pass over both rounds.
     """
     objectives = (objective,) if isinstance(objective, str) else tuple(objective)
     if not objectives or any(o not in ("rss", "drss") for o in objectives):
@@ -298,12 +291,33 @@ def optimize_true_location(
     ]
     shapes = [_coarse_shape(reg, c.coarse_grid_step) for reg, c in zip(regions, configs)]
 
-    found = [[] for _ in objectives]
-    for chunk in _chunks(shapes, len(objectives)):
-        g, m = geometry, model
+    def rows(chunk):
         if stacked and chunk != slice(0, len(bs)):
-            g, m = geometry.take(chunk), model.take(chunk)
-        incumbent, value = _search_rows(objectives, configs[chunk], regions[chunk], g, m)
+            return geometry.take(chunk), model.take(chunk)
+        return geometry, model
+
+    coarse = list(_chunks(shapes, len(objectives)))
+    width = max(1, _CHUNK_NODES // (len(objectives) * (_LOCAL_GRID * _LOCAL_GRID + 1)))
+    if len(coarse) == 1 and len(bs) <= width:
+        plan = [(slice(0, len(bs)), None)]
+    else:
+        # every row's coarse incumbent, then its refinement in other chunks
+        start = np.concatenate(
+            [
+                _search_rows(objectives, configs[c], regions[c], *rows(c), refine=False)[0]
+                for c in coarse
+            ],
+            axis=1,
+        )
+        plan = [
+            (slice(i, min(i + width, len(bs))), start[:, i : i + width])
+            for i in range(0, len(bs), width)
+        ]
+
+    found = [[] for _ in objectives]
+    for chunk, begin in plan:
+        g, m = rows(chunk)
+        incumbent, value = _search_rows(objectives, configs[chunk], regions[chunk], g, m, begin)
         for j, name in enumerate(objectives):
             kls = value[j].tolist()
             boosts = [0.0] * len(kls)
@@ -319,12 +333,14 @@ def optimize_true_location(
     return out[0] if isinstance(objective, str) else out
 
 
-def _search_rows(objectives, configs, regions, geometry, model):
+def _search_rows(objectives, configs, regions, geometry, model, start=None, refine=True):
     """Grid-then-refine search of every objective on every row of one chunk.
 
     Its rows are the (objective, geometry) pairs, objective-major: they share
     each round's grid build, feasibility test and tie-break, and the points
     each KL call scores are, row for row, those of a search on one geometry.
+    ``start`` (K, R, 2), the incumbents of an earlier coarse round, skips
+    the coarse round; ``refine=False`` skips the refinement passes.
     Returns the incumbents (K, R, 2) and their values (K, R) for K
     objectives and R geometries.
     """
@@ -376,23 +392,28 @@ def _search_rows(objectives, configs, regions, geometry, model):
         values = [kl(points[part], geometry, model) for kl, part in parts]
         return (values[0] if k == 1 else np.concatenate(values)).reshape(n_rows, -1)
 
-    # coarse grid: each row's np.arange axes, padded with NaN to the longest
-    # axis; the grid spans the longest x axis by the longest y axis
-    lines = [
-        (np.arange(x0, x1 + 0.5 * s, s), np.arange(y0, y1 + 0.5 * s, s))
-        for (x0, x1, y0, y1), s in zip(regions, (c.coarse_grid_step for c in configs))
-    ]
-    nx, ny = (max(len(pair[i]) for pair in lines) for i in (0, 1))
-    axes = np.full((n_geo, max(nx, ny), 2), np.nan)
-    for t, (ax, ay) in enumerate(lines):
-        axes[t, : len(ax), 0] = ax
-        axes[t, : len(ay), 1] = ay
-    if k > 1:
-        axes = np.concatenate([axes] * k)
-    grid = np.empty((n_rows, nx, ny, 2))
-    mask = tensor_grid(axes, grid)
-    pts = _pack(grid.reshape(n_rows, -1, 2), mask.reshape(n_rows, -1))
-    incumbent, value = _argmin_rows(pts, score(pts), rows)
+    if start is None:
+        # coarse grid: each row's np.arange axes, padded with NaN to the
+        # longest axis; the grid spans the longest x axis by the longest y axis
+        lines = [
+            (np.arange(x0, x1 + 0.5 * s, s), np.arange(y0, y1 + 0.5 * s, s))
+            for (x0, x1, y0, y1), s in zip(regions, (c.coarse_grid_step for c in configs))
+        ]
+        nx, ny = (max(len(pair[i]) for pair in lines) for i in (0, 1))
+        axes = np.full((n_geo, max(nx, ny), 2), np.nan)
+        for t, (ax, ay) in enumerate(lines):
+            axes[t, : len(ax), 0] = ax
+            axes[t, : len(ay), 1] = ay
+        if k > 1:
+            axes = np.concatenate([axes] * k)
+        grid = np.empty((n_rows, nx, ny, 2))
+        mask = tensor_grid(axes, grid)
+        pts = _pack(grid.reshape(n_rows, -1, 2), mask.reshape(n_rows, -1))
+        incumbent, value = _argmin_rows(pts, score(pts), rows)
+        if not refine:
+            return incumbent.reshape(k, n_geo, 2), value.reshape(k, n_geo)
+    else:
+        incumbent = start.reshape(n_rows, 2)
 
     # each pass: per row, the 9x9 local grid in (x, y)-lexicographic order,
     # then the incumbent, which stays feasible, in one reused buffer.  Its
@@ -407,14 +428,14 @@ def _search_rows(objectives, configs, regions, geometry, model):
     half = step[:, None, None]
     incumbent = incumbent[:, None]
     for _ in range(_REFINE_PASSES):
-        start, stop = incumbent - half, incumbent + half
-        spacing = (stop - start) / (n - 1)
+        low, stop = incumbent - half, incumbent + half
+        spacing = (stop - low) / (n - 1)
         axes = ticks * spacing
-        axes += start
+        axes += low
         if np.count_nonzero(spacing) < spacing.size:
             # np.linspace's branch for a row with a zero (denormal) spacing
             flat = (spacing == 0.0).any(axis=(1, 2))
-            axes[flat] = ticks / (n - 1) * (stop - start)[flat] + start[flat]
+            axes[flat] = ticks / (n - 1) * (stop - low)[flat] + low[flat]
         axes[:, -1:] = stop
         np.maximum(axes, lo, out=axes)
         np.minimum(axes, hi, out=axes)

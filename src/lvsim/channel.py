@@ -8,6 +8,7 @@ correlation: the covariance between two base stations halves every
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -147,9 +148,10 @@ class ShadowingModel:
     factor L; ``whitener`` W = L^-1 turns b^T R^-1 b into |W b|^2, and
     ``d_whitener`` does the same for the differenced covariance D.
     ``diag_jitter`` records any stabilization added to the diagonal (zero in
-    the normal case).  A model stack, for a stack of geometries, holds the
-    ``np.stack`` of the per-geometry values of every field
-    (``ShadowingModel.stack``; ``take`` selects its rows).
+    the normal case).  ``whitened_ones`` W 1 and its unit W 1 / |W 1| are
+    computed on first use and kept.  A model stack, for a stack of
+    geometries, holds the ``np.stack`` of the per-geometry values of every
+    field (``ShadowingModel.stack``; ``take`` selects its rows).
     """
 
     sigma_db: float
@@ -168,6 +170,17 @@ class ShadowingModel:
     def take(self, rows) -> ShadowingModel:
         """The model stack of the given rows (a slice or index array)."""
         return ShadowingModel(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    @cached_property
+    def whitened_ones(self) -> np.ndarray:
+        """W 1, shape (N,), or (T, N) for a stack."""
+        return self.whitener.sum(axis=-1)
+
+    @cached_property
+    def whitened_unit(self) -> np.ndarray:
+        """W 1 / |W 1|: a common power boost moves W (v - u) along it."""
+        ones = self.whitened_ones
+        return ones / np.sqrt(_dot(ones, ones))[..., None]
 
 
 def mean_vector(geometry: NetworkGeometry, location) -> np.ndarray:
@@ -196,6 +209,14 @@ def mean_vector(geometry: NetworkGeometry, location) -> np.ndarray:
     return geometry.ref_power_db - 10.0 * geometry.path_loss_exponent * np.log10(
         dist / geometry.ref_distance_m
     )
+
+
+def _dot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a . w over the last axis of ``a``; a stacked w (T, n) meets row t of
+    a (T, ..., n) as w[t], rounding as the per-geometry products do."""
+    if w.ndim == 1:
+        return a @ w
+    return (a.reshape(len(w), -1, a.shape[-1]) @ w[..., None]).reshape(a.shape[:-1])
 
 
 def _per_row(values: np.ndarray, ndim: int) -> np.ndarray:

@@ -170,6 +170,8 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     changes = {"mc_" + name: value for name, value in _given(args, "seed", "trials").items()}
     if getattr(args, "thresholds", None):
         changes["thresholds"] = tuple(args.thresholds)
+    if getattr(args, "modes", None):
+        changes["modes"] = _words(args.modes)
     return replace(scenario, **changes) if changes else scenario
 
 
@@ -181,11 +183,10 @@ def _outdir(args) -> Path:
 
 def _cmd_roc(args) -> int:
     scenario = _apply_overrides(_load_scenario(args.scenario), args)
-    modes = _words(args.modes) if args.modes else scenario.modes
     model = scenario.shadowing()
     outdir = _outdir(args) / scenario.name
     outdir.mkdir(parents=True, exist_ok=True)
-    for mode in modes:
+    for mode in scenario.modes:
         _, _, curve = roc_stage(scenario, mode, model)
         path = outdir / f"{mode}_roc.csv"
         path.write_text(roc_to_csv(curve))

@@ -50,12 +50,19 @@ def q_function(x):
 
 @dataclass(frozen=True, eq=False)
 class DetectorSpec:
-    """One configured detector: mode, hypothesis means and covariance.
+    """One configured detector, or a stack of them: mode, hypothesis means
+    and covariance.
 
     ``mode`` is "rss" (N-dimensional observations, covariance R) or "drss"
     ((N-1)-dimensional differenced observations, covariance D).  The
     likelihood-ratio threshold is not part of the spec: every function that
     needs one takes its log, ln λ, as an argument.
+
+    A stack has means of shape (..., n) and a covariance of shape
+    (..., n, n) whose leading axes broadcast against each other; its
+    ``separation`` is an array of the broadcast stack shape, row for row
+    equal to the one-spec values.  ``analytic_rates`` takes a stack;
+    ``test_statistic``, ``decide`` and ``roc_sweep`` take one spec.
     """
 
     mode: str
@@ -66,36 +73,47 @@ class DetectorSpec:
     def __post_init__(self):
         if self.mode not in ("rss", "drss"):
             raise DetectorError(f"unknown detector mode: {self.mode!r}")
-        mu0 = np.asarray(self.mu0, dtype=float).reshape(-1)
-        mu1 = np.asarray(self.mu1, dtype=float).reshape(-1)
+        mu0 = np.asarray(self.mu0, dtype=float)
+        mu1 = np.asarray(self.mu1, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "mu1", mu1)
         object.__setattr__(self, "cov", cov)
-        if mu0.shape != mu1.shape or cov.shape != (mu0.size, mu0.size):
+        n = mu0.shape[-1:]
+        if not n or mu1.shape[-1:] != n or cov.shape[-2:] != n + n:
             raise DetectorError("mean/covariance dimensions are inconsistent")
-        if np.array_equal(mu0, mu1):
-            raise DegenerateSpecError("hypothesis means are identical")
+        # The statistic direction c = cov^-1 (mu1 - mu0), from one batched
+        # solve, and the separation s = (mu1 - mu0)^T c.
         try:
-            delta = np.linalg.solve(cov, mu1 - mu0)
+            diff = mu1 - mu0
+            delta = np.linalg.solve(cov, diff[..., None])
         except np.linalg.LinAlgError as exc:
             raise DetectorError("covariance is singular") from exc
-        # Precompute the statistic direction c = cov^-1 (mu1 - mu0) and the
-        # separation s = (mu1 - mu0)^T cov^-1 (mu1 - mu0).
-        s = float((mu1 - mu0) @ delta)
-        if not np.isfinite(s) or s <= 0.0:
-            raise DegenerateSpecError(f"non-positive separation: {s}")
-        object.__setattr__(self, "_direction", delta)
-        object.__setattr__(self, "_separation", s)
+        except ValueError as exc:
+            raise DetectorError("stacked means and covariances do not broadcast") from exc
+        s = (diff[..., None, :] @ delta)[..., 0, 0]
+        if not 0.0 < s.min() < np.inf:  # false for NaN too
+            if (diff == 0.0).all(axis=-1).any():
+                raise DegenerateSpecError("hypothesis means are identical")
+            raise DegenerateSpecError(f"non-positive separation: {s.min()}")
+        object.__setattr__(self, "_direction", delta[..., 0])
+        object.__setattr__(self, "_separation", float(s) if s.ndim == 0 else s)
 
     @property
-    def separation(self) -> float:
-        """Squared Mahalanobis distance between the hypothesis means."""
+    def separation(self):
+        """Squared Mahalanobis distance between the hypothesis means: a float
+        for one spec, an array of the stack shape for a stack."""
         return self._separation
 
     def statistic_threshold(self, log_threshold=0.0):
         """Threshold on the linear statistic equivalent to ln λ (or an array)."""
+        _one_spec(self)
         return log_threshold + 0.5 * self._direction @ (self.mu1 + self.mu0)
+
+
+def _one_spec(spec: DetectorSpec) -> None:
+    if spec._direction.ndim != 1:
+        raise DetectorError("this function takes one detector spec, not a stack")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,19 +165,20 @@ def drss_transform(y: np.ndarray) -> np.ndarray:
 
 
 def build_d_matrix(cov: np.ndarray) -> np.ndarray:
-    """Covariance of the differenced observations.
+    """Covariance of the differenced observations; (..., N, N) gives
+    (..., N-1, N-1).
 
     D_mn = R_NN + R_mn - R_mN - R_nN for m, n = 1..N-1.
     """
     r = np.asarray(cov, dtype=float)
-    n = r.shape[0]
-    if r.shape != (n, n) or n < 2:
+    if r.ndim < 2 or r.shape[-1] != r.shape[-2] or r.shape[-1] < 2:
         raise DetectorError("covariance must be square with N >= 2")
-    return r[n - 1, n - 1] + r[:-1, :-1] - r[:-1, -1:] - r[-1:, :-1]
+    return r[..., -1:, -1:] + r[..., :-1, :-1] - r[..., :-1, -1:] - r[..., -1:, :-1]
 
 
 def test_statistic(spec: DetectorSpec, obs: np.ndarray):
     """Linear statistic (mu1 - mu0)^T cov^-1 obs; obs may be (..., dim)."""
+    _one_spec(spec)
     obs = np.asarray(obs, dtype=float)
     if obs.shape[-1] != spec.mu0.size:
         raise DetectorError("observation dimension does not match the spec")
@@ -185,17 +204,20 @@ def analytic_rates(spec: DetectorSpec, log_threshold=0.0) -> RatePair:
 
     A scalar ln λ gives a ``RatePair`` of floats; an array gives, in one
     pass, a ``RatePair`` of read-only arrays of its shape, element for
-    element equal to the scalar calls.  ln λ = ±inf gives rates 0 and 1; a
-    NaN ln λ raises DetectorError.
+    element equal to the scalar calls.  A spec stack gives arrays of shape
+    stack + ln λ shape, row for row equal to the one-spec calls.  ln λ = ±inf
+    gives rates 0 and 1; a NaN ln λ raises DetectorError.
     """
     lam = np.asarray(log_threshold, dtype=float)
     if np.isnan(lam).any():
         raise DetectorError("ln λ is NaN; a threshold must be a number or ±inf")
     s = spec.separation
+    if spec._direction.ndim > 1:
+        s = s.reshape(s.shape + (1,) * lam.ndim)
     rt = np.sqrt(s)
     # alpha = Q((ln λ + s/2)/√s) and beta = Q((ln λ - s/2)/√s), in one call
     rates = q_function(np.stack(((lam + 0.5 * s) / rt, (lam - 0.5 * s) / rt)))
-    if lam.ndim == 0:
+    if rates.ndim == 1:
         return RatePair(alpha=float(rates[0]), beta=float(rates[1]))
     rates.flags.writeable = False
     return RatePair(alpha=rates[0], beta=rates[1])
@@ -214,6 +236,7 @@ def default_threshold_grid(separation: float, n: int = 201) -> np.ndarray:
 
 def roc_sweep(spec: DetectorSpec, thresholds) -> RocCurve:
     """Operating points at every threshold, and the exact AUC."""
+    _one_spec(spec)
     thr = np.sort(np.asarray(thresholds, dtype=float))[::-1]
     if thr.size < 2:
         raise DetectorError("need at least two thresholds")

@@ -94,6 +94,10 @@ class AttackPolicy:
             raise ScenarioError(f"attack kind {self.kind!r} requires a true location")
         if self.kind == "fixed" and self.power_boost_db is None:
             raise ScenarioError("attack kind 'fixed' requires a power boost")
+        if self.kind == "optimal" and self.true_location is not None:
+            raise ScenarioError("attack kind 'optimal' takes no true_location")
+        if self.kind != "fixed" and self.power_boost_db is not None:
+            raise ScenarioError(f"attack kind {self.kind!r} takes no power_boost_db")
         if self.true_location is not None and not (
             len(self.true_location) == 2 and all(map(math.isfinite, self.true_location))
         ):
@@ -150,8 +154,7 @@ class Scenario:
         if not (_is_count(self.mc_seed) and self.mc_seed >= 0):
             raise ScenarioError(f"mc_seed must be a nonnegative integer, got {self.mc_seed!r}")
         for mode in self.modes:
-            if mode not in ("rss", "drss"):
-                raise ScenarioError(f"unknown mode: {mode!r}")
+            _check_mode(mode)
         for loc in ((self.attack.true_location,) if self.attack.true_location else ()) + tuple(
             self.alt_locations
         ):
@@ -175,6 +178,11 @@ class Scenario:
     def shadowing(self, correlation_distance: float | None = None) -> ShadowingModel:
         dc = self.correlation_distance if correlation_distance is None else correlation_distance
         return build_covariance(self.geometry, self.sigma_db, dc)
+
+
+def _check_mode(mode) -> None:
+    if mode not in ("rss", "drss"):
+        raise ScenarioError(f"unknown mode: {mode!r}")
 
 
 def deployment_geometry(
@@ -271,6 +279,7 @@ def resolve_attack(
     scenario: Scenario, mode: str, model: ShadowingModel
 ) -> AttackStrategy:
     """Attacker strategy for one mode under the scenario's attack policy."""
+    _check_mode(mode)
     geometry = scenario.geometry
     policy = scenario.attack
     if policy.kind == "optimal":
@@ -295,15 +304,18 @@ def detector_spec(
     strategy: AttackStrategy,
 ) -> DetectorSpec:
     """Detector specification matching a given attack strategy."""
-    u = geometry.claimed_mean
     v = strategy.power_boost_db + mean_vector(geometry, strategy.true_location)
+    return _matched_spec(mode, geometry.claimed_mean, v, model.covariance)
+
+
+def _matched_spec(mode: str, u, v, cov) -> DetectorSpec:
+    """Detector of claimed mean ``u`` against attack mean ``v`` under the RSS
+    covariance ``cov``; u, v (..., N) and cov (..., N, N) give a spec stack."""
+    _check_mode(mode)
     if mode == "rss":
-        return DetectorSpec(mode="rss", mu0=u, mu1=v, cov=model.covariance)
+        return DetectorSpec(mode="rss", mu0=u, mu1=v, cov=cov)
     return DetectorSpec(
-        mode="drss",
-        mu0=drss_transform(u),
-        mu1=drss_transform(v),
-        cov=build_d_matrix(model.covariance),
+        mode="drss", mu0=drss_transform(u), mu1=drss_transform(v), cov=build_d_matrix(cov)
     )
 
 
@@ -556,7 +568,9 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
     geometries are drawn in blocks of ``_VERIFY_BLOCK`` trials, and each
     block is checked in stacks of equal N: one stacked call per KL identity,
     boost and convexity check, and one location search per stack for both
-    objectives.  Covariances and detector specs are built per geometry.
+    objectives.  Each stack builds three detector specs (DRSS, matched RSS,
+    and the six suboptimal boosts as a (T, 6) stack), two ``analytic_rates``
+    calls and one white model; covariances are built per geometry.
     """
     if not (_is_count(trials) and trials >= 1):
         raise ScenarioError(f"trials must be a positive integer, got {trials!r}")
@@ -575,7 +589,6 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
     for n, group in _geometry_groups(trials, seed):
         geometries, x_t, sigmas, dcs, radii = zip(*group)
         models = [build_covariance(g, s, dc) for g, s, dc in zip(geometries, sigmas, dcs)]
-        whites = [build_covariance(g, 1.0, 0.0) for g in geometries]
         geometry, model = NetworkGeometry.stack(geometries), ShadowingModel.stack(models)
         x_t = np.stack(x_t)
         u = geometry.claimed_mean
@@ -589,22 +602,26 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
             kl_identity, float((np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)).max())
         )
 
-        for g, m, x, b, kl in zip(geometries, models, x_t, boost.tolist(), lhs.tolist()):
-            # With a suboptimal boost, the RSS separation strictly exceeds DRSS.
-            strat = AttackStrategy(tuple(x), b, kl)
-            drss_spec = detector_spec("drss", g, m, strat)
-            for db in (1.0, 3.0, 10.0):
-                for sign in (1.0, -1.0):
-                    perturbed = AttackStrategy(tuple(x), b + sign * db, 0.0)
-                    rss_s = detector_spec("rss", g, m, perturbed).separation
-                    dominance_margin = min(dominance_margin, rss_s - drss_spec.separation)
+        # With a suboptimal boost, the RSS separation strictly exceeds DRSS:
+        # a (T, 6) stack of RSS specs, the optimal boost offset by ±1, ±3 and
+        # ±10 dB.
+        matched = boost[:, None] + v
+        drss_spec = _matched_spec("drss", u, matched, model.covariance)
+        offsets = boost[:, None] + np.array([1.0, -1.0, 3.0, -3.0, 10.0, -10.0])
+        perturbed = _matched_spec(
+            "rss", u[:, None], offsets[..., None] + v[:, None], model.covariance[:, None]
+        )
+        dominance_margin = min(
+            dominance_margin,
+            float((perturbed.separation - drss_spec.separation[:, None]).min()),
+        )
 
-            # Matched-boost RSS and DRSS operating points coincide.
-            rss_spec = detector_spec("rss", g, m, strat)
-            pr = analytic_rates(rss_spec, MC_LOG_THRESHOLDS)
-            pd = analytic_rates(drss_spec, MC_LOG_THRESHOLDS)
-            gap = np.abs(np.subtract((pr.alpha, pr.beta), (pd.alpha, pd.beta))).max()
-            rate_identity = max(rate_identity, float(gap))
+        # Matched-boost RSS and DRSS operating points coincide.
+        rss_spec = _matched_spec("rss", u, matched, model.covariance)
+        pr = analytic_rates(rss_spec, MC_LOG_THRESHOLDS)
+        pd = analytic_rates(drss_spec, MC_LOG_THRESHOLDS)
+        gap = np.abs(np.subtract((pr.alpha, pr.beta), (pd.alpha, pd.beta))).max()
+        rate_identity = max(rate_identity, float(gap))
 
         # Both location searches land in the same refined cell.
         configs = []
@@ -626,15 +643,17 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
         )
 
         # Uncorrelated special case: explicit inverse of the differenced
-        # covariance, and the summation closed form of the minimized KL.
-        d_inv = np.linalg.inv(np.stack([build_d_matrix(w.covariance) for w in whites]))
+        # covariance, and the summation closed form of the minimized KL.  The
+        # white model (sigma 1, D_c 0) depends only on N.
+        white = build_covariance(geometries[0], 1.0, 0.0)
+        d_inv = np.linalg.inv(build_d_matrix(white.covariance))
         dinv_err = max(
             dinv_err,
             float(np.abs(d_inv - (np.eye(n - 1) - np.ones((n - 1, n - 1)) / n)).max()),
         )
         g = v - u
         expected = 0.5 * (np.sum(g**2, axis=-1) - np.sum(g, axis=-1) ** 2 / n)
-        got = kl_rss_minimized(x_t, geometry, ShadowingModel.stack(whites))
+        got = kl_rss_minimized(x_t, geometry, ShadowingModel.stack([white] * len(geometries)))
         closed_form_err = max(
             closed_form_err,
             float((np.abs(got - expected) / np.maximum(np.abs(expected), 1e-300)).max()),

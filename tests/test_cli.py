@@ -164,8 +164,13 @@ class TestScenarioFile:
         [
             ("attack = bogus\n", "unknown attack kind: 'bogus'"),
             ("attack = fixed\ntrue_location = 650 5\n", "attack kind 'fixed' requires a power"),
+            ("true_location = 650 5\n", "attack kind 'optimal' takes no true_location"),
+            (
+                "attack = fixed-location\ntrue_location = 650 5\npower_boost_db = 3\n",
+                "attack kind 'fixed-location' takes no power_boost_db",
+            ),
         ],
-        ids=["unknown-kind", "fixed-without-boost"],
+        ids=["unknown-kind", "fixed-without-boost", "optimal-with-location", "boost-ignored"],
     )
     def test_bad_attack_rejected_with_prefix(self, tmp_path, lines, message):
         with pytest.raises(ScenarioFileError, match=f"^invalid attack: {message}"):
@@ -272,6 +277,14 @@ class TestMain:
         code = main(["attack", "--scenario", str(path), "--mode", "drss"])
         assert code == 0
         assert "custom drss" in capsys.readouterr().out
+
+    def test_roc_unknown_mode_exits_one_before_writing(self, tmp_path, capsys):
+        text = FIG1_FILE + "attack = fixed-location\ntrue_location = 650 5\n"
+        argv = ["roc", "--scenario", str(write(tmp_path, text)), "--modes", "rss,foo"]
+        code = main(argv + ["-o", str(tmp_path / "out")])
+        assert code == 1
+        assert "unknown mode: 'foo'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_scenario_source_exits_one(self, capsys):
         code = main(["attack", "--scenario", "no-such-scenario"])

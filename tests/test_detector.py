@@ -157,6 +157,60 @@ class TestSpecValidation:
             DetectorSpec(mode="rss", mu0=np.zeros(2), mu1=np.ones(2), cov=fig1_model.covariance)
 
 
+class TestSpecStacks:
+    def test_stack_shape_and_rates(self, fig1_model):
+        cov = fig1_model.covariance
+        mu1 = np.arange(1.0, 25.0).reshape(4, 2, 3)
+        stack = DetectorSpec("rss", np.zeros(3), mu1, cov)
+        assert stack.separation.shape == (4, 2)
+        rates = analytic_rates(stack, np.linspace(-2.0, 2.0, 5))
+        assert rates.alpha.shape == rates.beta.shape == (4, 2, 5)
+        assert not rates.alpha.flags.writeable
+        assert analytic_rates(stack, 0.5).alpha.shape == (4, 2)
+
+    def test_stacked_d_matrix_equals_per_row(self, fig1_model, fig3_model):
+        covs = np.stack([fig1_model.covariance, fig3_model.covariance])
+        stacked = build_d_matrix(covs)
+        for cov, d in zip(covs, stacked):
+            np.testing.assert_array_equal(d, build_d_matrix(cov))
+
+    @pytest.mark.parametrize(
+        "mu0, mu1, stack",
+        [((2, 3), (3, 3), ()), ((4, 3), (4, 3), (2,))],
+        ids=["means", "means-and-covariances"],
+    )
+    def test_mismatched_stack_shapes_named(self, fig1_model, mu0, mu1, stack):
+        cov = np.broadcast_to(fig1_model.covariance, stack + (3, 3))
+        with pytest.raises(DetectorError, match="do not broadcast"):
+            DetectorSpec("rss", np.zeros(mu0), np.ones(mu1), cov)
+
+    def test_degenerate_row_named(self, fig1_model):
+        mu1 = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [4.0, 5.0, 6.0]])
+        with pytest.raises(DegenerateSpecError, match="identical"):
+            DetectorSpec("rss", np.zeros(3), mu1, fig1_model.covariance)
+
+    def test_underflowing_row_named(self, fig1_model):
+        mu1 = np.array([[1.0, 2.0, 3.0], [1e-300, 0.0, 0.0]])
+        with pytest.raises(DegenerateSpecError, match="non-positive separation"):
+            DetectorSpec("rss", np.zeros(3), mu1, fig1_model.covariance)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec: decide(spec, np.zeros(3)),
+            lambda spec: linear_statistic(spec, np.zeros(3)),
+            lambda spec: roc_sweep(spec, [-1.0, 1.0]),
+            lambda spec: spec.statistic_threshold(0.0),
+        ],
+        ids=["decide", "test_statistic", "roc_sweep", "statistic_threshold"],
+    )
+    def test_one_spec_functions_reject_a_stack(self, fig1_model, call):
+        mu1 = np.arange(1.0, 7.0).reshape(2, 3)
+        stack = DetectorSpec("rss", np.zeros(3), mu1, fig1_model.covariance)
+        with pytest.raises(DetectorError, match="not a stack"):
+            call(stack)
+
+
 class TestAnalyticRates:
     def test_unit_threshold_symmetry(self, fig1_model):
         pair = analytic_rates(make_spec(fig1_model.covariance), 0.0)

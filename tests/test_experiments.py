@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from lvsim.adversary import SearchConfig, kl_drss, kl_rss, kl_rss_minimized
+import lvsim.experiments as experiments
 from lvsim.experiments import (
     AttackPolicy,
     Scenario,
     ScenarioError,
+    _geometry_groups,
     builtin_scenario,
     builtin_scenarios,
+    detector_spec,
     resolve_attack,
     roc_stage,
     run_scenario,
@@ -146,6 +149,18 @@ class TestScenarioValues:
         with pytest.raises(ScenarioError, match="true_location"):
             AttackPolicy("fixed-location", bad)
 
+    @pytest.mark.parametrize(
+        "kind, location, boost, field",
+        [
+            ("optimal", (650.0, 5.0), None, "true_location"),
+            ("optimal", None, 3.0, "power_boost_db"),
+            ("fixed-location", (650.0, 5.0), 3.0, "power_boost_db"),
+        ],
+    )
+    def test_fields_the_kind_ignores_rejected(self, kind, location, boost, field):
+        with pytest.raises(ScenarioError, match=f"^attack kind '{kind}' takes no {field}$"):
+            AttackPolicy(kind, location, boost)
+
 
 class TestResolveAttack:
     X_T = (300.0, 5.0)
@@ -171,6 +186,19 @@ class TestResolveAttack:
         else:
             minimized = kl_rss_minimized(self.X_T, geometry, model)
             assert rss.kl_nats == pytest.approx(minimized, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "policy", [AttackPolicy(), AttackPolicy("fixed-location", X_T)], ids=lambda p: p.kind
+    )
+    def test_unknown_mode_named(self, policy):
+        # no mode other than rss and drss may fall through to a DRSS answer
+        scenario = replace(builtin_scenario("fig3"), attack=policy)
+        model = scenario.shadowing()
+        with pytest.raises(ScenarioError, match="^unknown mode: 'bogus'$"):
+            resolve_attack(scenario, "bogus", model)
+        strategy = resolve_attack(scenario, "drss", model)
+        with pytest.raises(ScenarioError, match="^unknown mode: 'bogus'$"):
+            detector_spec("bogus", scenario.geometry, model, strategy)
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +316,25 @@ class TestVerifyTheorems:
         payload = json.loads(report.to_json())
         assert payload["all_passed"] is True
         assert all(c["status"] == "pass" for c in payload["checks"])
+
+    def test_three_detector_specs_per_group(self, monkeypatch):
+        # DRSS, the (T, 6) stack of suboptimal boosts and matched RSS, built
+        # once per same-N group instead of per geometry
+        built = []
+        original = experiments.DetectorSpec
+
+        def recording(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(experiments, "DetectorSpec", recording)
+        report = verify_theorems(trials=40, seed=3)
+        groups = list(_geometry_groups(40, 3))
+        assert report.all_passed and len(groups) > 1
+        assert len(built) == 3 * len(groups)
+        sizes = sorted(len(draws) for _, draws in groups)
+        assert sorted(spec.separation.shape[0] for spec in built[::3]) == sizes
+        assert all(spec.separation.shape[1:] == (6,) for spec in built[1::3])
 
     def test_invalid_trials(self):
         with pytest.raises(ScenarioError):

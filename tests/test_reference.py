@@ -503,6 +503,72 @@ def test_stacked_search_equals_per_geometry_bitwise(deployment_stacks):
     assert searched == 420
 
 
+def test_stacked_specs_equal_per_row_bitwise(deployment_stacks):
+    """Spec stacks, as verify_theorems builds them, against one spec per row:
+    direction, separation and rates, bit for bit."""
+    rng = np.random.default_rng(31)
+    offsets = np.array([1.0, -1.0, 3.0, -3.0, 10.0, -10.0])
+    checked = 0
+    for _, _, _, geometry, model in deployment_stacks:
+        t = len(model.covariance)
+        angle = rng.uniform(0.0, 2.0 * np.pi, t)
+        ray = np.column_stack([np.cos(angle), np.sin(angle)])
+        x_t = geometry.claimed_location + rng.uniform(100.0, 300.0, (t, 1)) * ray
+        u = geometry.claimed_mean
+        v = rng.uniform(-10.0, 10.0, (t, 1)) + mean_vector(geometry, x_t)
+        cov, d_cov = model.covariance, build_d_matrix(model.covariance)
+        stacks = {
+            "rss": DetectorSpec("rss", u, v, cov),
+            "drss": DetectorSpec("drss", drss_transform(u), drss_transform(v), d_cov),
+            "boosts": DetectorSpec("rss", u[:, None], offsets[:, None] + v[:, None], cov[:, None]),
+        }
+        rates = {name: analytic_rates(spec, MC_LOG_THRESHOLDS) for name, spec in stacks.items()}
+        at_zero = {name: analytic_rates(spec, 0.0) for name, spec in stacks.items()}
+        for i in range(t):
+            rows = {
+                "rss": [DetectorSpec("rss", u[i], v[i], cov[i])],
+                "drss": [
+                    DetectorSpec("drss", drss_transform(u[i]), drss_transform(v[i]), d_cov[i])
+                ],
+                "boosts": [DetectorSpec("rss", u[i], b + v[i], cov[i]) for b in offsets],
+            }
+            for name, specs in rows.items():
+                for j, one in enumerate(specs):
+                    at = (i, j) if name == "boosts" else (i,)
+                    np.testing.assert_array_equal(stacks[name]._direction[at], one._direction)
+                    assert stacks[name].separation[at] == one.separation
+                    want = analytic_rates(one, MC_LOG_THRESHOLDS)
+                    np.testing.assert_array_equal(rates[name].alpha[at], want.alpha)
+                    np.testing.assert_array_equal(rates[name].beta[at], want.beta)
+                    want = analytic_rates(one, 0.0)
+                    assert at_zero[name].alpha[at] == want.alpha
+                    assert at_zero[name].beta[at] == want.beta
+            checked += 1
+    assert checked == 210
+
+
+def test_stack_that_fits_is_one_search_call(deployment_stacks, monkeypatch):
+    # one coarse chunk and one refinement chunk: the whole search is one
+    # _search_rows call, as is every single-geometry search
+    calls = []
+    original = adversary._search_rows
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(adversary, "_search_rows", counting)
+    geometries, models, configs, geometry, model = deployment_stacks[0]
+    both = ("rss", "drss")
+    want = optimize_true_location(both, configs[0], geometries[0], models[0])
+    assert calls == [{}]
+    calls.clear()
+    monkeypatch.setattr(adversary, "_CHUNK_NODES", 10**7)
+    got = optimize_true_location(both, configs, geometry, model)
+    assert calls == [{}]
+    assert tuple(rows[0] for rows in got) == want
+
+
 def test_stacked_search_scores_in_chunks(deployment_stacks, monkeypatch):
     # no KL call scores more padded nodes than the chunk cap
     geometries, models, configs, geometry, model = deployment_stacks[0]
@@ -520,7 +586,11 @@ def test_stacked_search_scores_in_chunks(deployment_stacks, monkeypatch):
     assert len(coarse) > 1
     assert sum(shape[0] for shape in coarse) == len(geometries)
     assert all(shape[0] * shape[1] <= 2000 or shape[0] == 1 for shape in coarse)
-    assert len(sizes) == len(coarse) * (1 + REFERENCE_PASSES)
+    refined = [shape for shape in sizes if shape[1] <= 82]
+    width = 2000 // 82  # refinement rows per chunk: 82 points each
+    assert len(geometries) > width
+    assert len(sizes) == len(coarse) + -(-len(geometries) // width) * REFERENCE_PASSES
+    assert all(shape[0] * shape[1] <= 2000 for shape in refined)
     assert rows == tuple(
         optimize_true_location("drss", c, g, m) for g, m, c in zip(geometries, models, configs)
     )
