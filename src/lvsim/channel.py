@@ -113,14 +113,21 @@ class NetworkGeometry:
         )
 
     def take(self, rows) -> NetworkGeometry:
-        """The stack of the given rows (a slice or index array) of this stack."""
-        return NetworkGeometry(
-            self.bs_positions[rows],
-            self.claimed_location[rows],
-            self.ref_power_db,
-            self.ref_distance_m,
-            self.path_loss_exponent,
+        """The stack of the given rows (a slice or index array) of this stack.
+
+        The rows were checked when this stack was built, so their arrays are
+        sliced, ``claimed_mean`` included, and not checked or computed again.
+        """
+        u = self.claimed_mean[rows]
+        u.flags.writeable = False
+        taken = object.__new__(NetworkGeometry)
+        vars(taken).update(
+            vars(self),
+            bs_positions=self.bs_positions[rows],
+            claimed_location=self.claimed_location[rows],
+            claimed_mean=u,
         )
+        return taken
 
     def __reduce__(self):
         # copies and unpickled geometries are rebuilt through the constructor,
@@ -286,9 +293,15 @@ def sample_observation(
 def sample_observations(
     model: ShadowingModel, mean: np.ndarray, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """Draw ``n`` observation vectors at once, shape (n, N)."""
+    """Draw ``n`` observation vectors at once, shape (n, N).
+
+    The block is station-contiguous: it is the transpose of L @ z.T, so each
+    station's ``n`` values are adjacent in memory and element-wise work on
+    the block runs along the trials.  Its values equal ``z @ L.T + mean``
+    bit for bit.
+    """
     dim = model.chol_lower.shape[0]
     z = rng.standard_normal((n, dim))
-    y = z @ model.chol_lower.T
+    y = (model.chol_lower @ z.T).T
     y += mean
     return y

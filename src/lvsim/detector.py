@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,7 +109,12 @@ class DetectorSpec:
     def statistic_threshold(self, log_threshold=0.0):
         """Threshold on the linear statistic equivalent to ln λ (or an array)."""
         _one_spec(self)
-        return log_threshold + 0.5 * self._direction @ (self.mu1 + self.mu0)
+        return log_threshold + self._midpoint
+
+    @cached_property
+    def _midpoint(self) -> float:
+        """The statistic at the midpoint of the means, 0.5 c^T (mu1 + mu0)."""
+        return 0.5 * self._direction @ (self.mu1 + self.mu0)
 
 
 def _one_spec(spec: DetectorSpec) -> None:
@@ -196,7 +202,8 @@ def decide(spec: DetectorSpec, obs: np.ndarray, log_threshold=0.0):
     # built with the thresholds outermost, so each threshold's decisions are
     # contiguous, then viewed with the threshold axes last
     k = thr.ndim
-    return np.moveaxis(np.less_equal.outer(thr, stat), range(k), range(-k, 0))
+    accepted = np.less_equal.outer(thr, stat)
+    return accepted.transpose(*range(k, accepted.ndim), *range(k))
 
 
 def analytic_rates(spec: DetectorSpec, log_threshold=0.0) -> RatePair:

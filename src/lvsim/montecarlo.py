@@ -114,16 +114,16 @@ def estimate_rate(
     them, one statistic per spec for all thresholds; DRSS specs see the
     differenced observations. A scalar ln λ counts as one threshold.
     Returns one rate per (spec, threshold), spec by spec, and draws
-    nothing when there is no spec. Observations are
+    nothing when there is no spec or no threshold. Observations are
     drawn and scored in blocks of ``_BLOCK_ROWS`` rows, so no
     (n_trials, N) array is ever held.
     """
-    if not specs:
+    thresholds = np.atleast_1d(np.asarray(log_thresholds, dtype=float))
+    if not specs or not thresholds.size:
         return ()
     n = plan.n_trials
     mean = _rss_mean(plan, geometry)
     rng = np.random.Generator(np.random.Philox(plan.seed))
-    thresholds = np.atleast_1d(np.asarray(log_thresholds, dtype=float))
     drss = any(spec.mode == "drss" for spec in specs)
     counts = np.zeros((len(specs), thresholds.size), dtype=np.int64)
     for start in range(0, n, _BLOCK_ROWS):
@@ -131,7 +131,7 @@ def estimate_rate(
         d = drss_transform(y) if drss else None
         for spec, count in zip(specs, counts):
             accepted = decide(spec, d if spec.mode == "drss" else y, thresholds)
-            count += np.count_nonzero(accepted, axis=0)
+            count += [np.count_nonzero(run) for run in accepted.T]
     rates = []
     for rate in (counts / n).ravel().tolist():
         stderr = float(np.sqrt(rate * (1.0 - rate) / n))

@@ -182,6 +182,31 @@ class TestGeometryStack:
         for f in fields(ShadowingModel):
             np.testing.assert_array_equal(getattr(rows, f.name), [getattr(models[1], f.name)])
 
+    @pytest.mark.parametrize(
+        "rows",
+        [slice(2, 5), slice(None, None, 2), np.array([4, 0, 6]), np.arange(7) % 3 == 1],
+        ids=["slice", "strided", "index-array", "mask"],
+    )
+    def test_take_equals_constructor_bitwise(self, monkeypatch, rows):
+        rng = np.random.default_rng(5)
+        singles = [
+            make_geometry(rng.uniform(-300.0, 300.0, (4, 2)), claimed=rng.uniform(-50.0, 50.0, 2))
+            for _ in range(7)
+        ]
+        built = NetworkGeometry.stack([singles[i] for i in np.arange(7)[rows]])
+        stack = NetworkGeometry.stack(singles)
+        # the rows were checked when the stack was built: take computes nothing
+        monkeypatch.setattr("lvsim.channel.mean_vector", None)
+        taken = stack.take(rows)
+        for name in ("bs_positions", "claimed_location", "claimed_mean"):
+            got, want = getattr(taken, name), getattr(built, name)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+        for f in fields(NetworkGeometry):
+            if f.name not in ("bs_positions", "claimed_location"):
+                assert getattr(taken, f.name) == getattr(built, f.name)
+        assert not taken.claimed_mean.flags.writeable
+
     def test_stack_needs_shared_n_and_path_loss(self):
         three = make_geometry(STACK_BS[0], claimed=STACK_CLAIMS[0])
         two = make_geometry(STACK_BS[0][:2], claimed=STACK_CLAIMS[0])
@@ -269,6 +294,23 @@ class TestSampling:
         mean = mean_vector(fig1_geometry, CLAIMED)
         y = sample_observation(model, mean, np.random.default_rng(0))
         np.testing.assert_allclose(y, mean, atol=1e-6)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6"])
+    @pytest.mark.parametrize("n", [1, 17, 4096])
+    def test_blocks_station_contiguous_and_bitwise(self, name, n):
+        from lvsim.experiments import builtin_scenario
+
+        scenario = builtin_scenario(name)
+        model = scenario.shadowing()
+        mean = scenario.geometry.claimed_mean
+        y = sample_observations(model, mean, np.random.default_rng(n), n)
+        # each station's n draws are adjacent in memory
+        assert y.shape == (n, len(mean))
+        assert y.T.flags.c_contiguous
+        z = np.random.default_rng(n).standard_normal((n, len(mean)))
+        want = z @ model.chol_lower.T
+        want += mean
+        assert np.ascontiguousarray(y).tobytes() == want.tobytes()
 
     def test_seeded_stream_reproducible(self, fig1_model, fig1_geometry):
         mean = mean_vector(fig1_geometry, CLAIMED)

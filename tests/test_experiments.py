@@ -258,6 +258,15 @@ class TestRunScenario:
         # one H0 set shared by both modes, one H1 set per mode
         assert len(calls) == 3
 
+    def test_no_thresholds_draw_nothing(self, monkeypatch):
+        import lvsim.montecarlo
+
+        calls = []
+        monkeypatch.setattr(lvsim.montecarlo, "sample_observations", lambda *a: calls.append(a))
+        result = run_scenario(builtin_scenario("fig3"), mc_thresholds=())
+        assert calls == []
+        assert all(mr.mc_records == () for mr in result.modes.values())
+
     def test_blocked_draws_cover_each_distribution_once(self, monkeypatch):
         import lvsim.montecarlo
 
