@@ -387,10 +387,11 @@ def run_scenario(
 
     The Monte Carlo check draws once per distribution: one H0 set scored by
     each mode's spec at every ln λ, since RSS and DRSS see the same
-    observations under H0, and one H1 set per mode. Each set's Philox
-    stream is keyed by ``SeedSequence(mc_seed, spawn_key=(k,))`` with k = 0
-    for H0, 1 for RSS H1 and 2 for DRSS H1, so a mode's records do not
-    depend on which other modes run.
+    observations under H0, and one H1 set per mode, each drawn in
+    station-contiguous blocks. Each set's SFC64 stream is keyed by
+    ``SeedSequence(mc_seed, spawn_key=(k,))`` with k = 0 for H0, 1 for RSS
+    H1 and 2 for DRSS H1, so a mode's records do not depend on which other
+    modes run.
     """
     geometry = scenario.geometry
     model = scenario.shadowing()

@@ -5,10 +5,12 @@ A plan names one distribution of observations (H0, or H1 under one attack
 strategy). ``estimate_rate`` draws one set of observations from it and
 scores every detector spec on that same set: all thresholds from one
 statistic per spec, and both modes where they share the distribution
-(common random numbers). Each plan samples from a counter-based Philox
-stream keyed by its seed, an int or a ``SeedSequence``; ``run_scenario``
-keys each distribution's stream by the scenario seed and a
-per-distribution spawn key, so a plan reproduces the same counts
+(common random numbers). Observations come in station-contiguous blocks,
+each station's draws adjacent in memory, so the mean shift, the DRSS
+difference and the statistic run along the trials. Each plan samples from
+its own SFC64 stream keyed by its seed, an int or a ``SeedSequence``;
+``run_scenario`` keys each distribution's stream by the scenario seed and
+a per-distribution spawn key, so a plan reproduces the same counts
 regardless of which other plans run.
 """
 
@@ -41,10 +43,16 @@ SUITE_Z = 3.89
 # registry's geometries have 3 or 4) a float64 block is at most 256 KB, so
 # it stays in cache and its matmul stays below OpenBLAS's threading
 # threshold; larger N gives larger blocks that may thread again, with the
-# same results.
-# Blocks consume the Philox stream in order, so they draw exactly what one
+# same results.  Each block is station-contiguous: its _BLOCK_ROWS draws
+# per station are adjacent.
+# Blocks consume the SFC64 stream in order, so they draw exactly what one
 # call for all rows would.
 _BLOCK_ROWS = 4096
+
+
+def _stream(seed) -> np.random.Generator:
+    """The generator a plan draws from: an SFC64 stream keyed by ``seed``."""
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def _is_count(value) -> bool:
@@ -123,7 +131,7 @@ def estimate_rate(
         return ()
     n = plan.n_trials
     mean = _rss_mean(plan, geometry)
-    rng = np.random.Generator(np.random.Philox(plan.seed))
+    rng = _stream(plan.seed)
     drss = any(spec.mode == "drss" for spec in specs)
     counts = np.zeros((len(specs), thresholds.size), dtype=np.int64)
     for start in range(0, n, _BLOCK_ROWS):
@@ -158,7 +166,7 @@ def estimate_kl(
         raise PlanError("n_samples must be at least 1")
     u = geometry.claimed_mean
     m1 = p_x + mean_vector(geometry, x_t)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _stream(seed)
     y = sample_observations(model, u, rng, n_samples)
     # log ratio of two same-covariance Gaussians: quadratic terms only
     z0 = (y - u) @ model.whitener.T

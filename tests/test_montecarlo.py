@@ -13,6 +13,7 @@ from lvsim.montecarlo import (
     KlEstimate,
     PlanError,
     TrialPlan,
+    _stream,
     agreement_sigma,
     estimate_kl,
     estimate_rate,
@@ -47,7 +48,7 @@ def unblocked_rates(plan, specs, geometry, model, log_thresholds):
     else:
         strategy = plan.strategy
         mean = strategy.power_boost_db + mean_vector(geometry, strategy.true_location)
-    rng = np.random.Generator(np.random.Philox(plan.seed))
+    rng = _stream(plan.seed)
     y = sample_observations(model, mean, rng, plan.n_trials)
     rates = []
     for spec in specs:

@@ -62,7 +62,7 @@ from lvsim.experiments import (
     resolve_attack,
     verify_theorems,
 )
-from lvsim.montecarlo import estimate_kl
+from lvsim.montecarlo import _stream, estimate_kl
 
 from conftest import CLAIMED, random_setup
 
@@ -139,7 +139,7 @@ def test_estimate_kl_matches_cho_solve(setups):
         est = estimate_kl(x_t, p_x, geometry, model, 500, seed=k)
         u = mean_vector(geometry, CLAIMED)
         m1 = p_x + mean_vector(geometry, x_t)
-        y = sample_observations(model, u, np.random.Generator(np.random.Philox(k)), 500)
+        y = sample_observations(model, u, _stream(k), 500)
         factor = (model.chol_lower, True)
         d0, d1 = y - u, y - m1
         ratio = 0.5 * (
