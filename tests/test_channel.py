@@ -18,6 +18,7 @@ from lvsim.channel import (
 )
 
 from lvsim.detector import build_d_matrix
+from lvsim.experiments import builtin_scenario
 
 from conftest import FIG1_BS, CLAIMED, make_geometry
 
@@ -298,8 +299,6 @@ class TestSampling:
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6"])
     @pytest.mark.parametrize("n", [1, 17, 4096])
     def test_blocks_station_contiguous_and_bitwise(self, name, n):
-        from lvsim.experiments import builtin_scenario
-
         scenario = builtin_scenario(name)
         model = scenario.shadowing()
         mean = scenario.geometry.claimed_mean
