@@ -1,43 +1,8 @@
 """Simulation laboratory for RSS/DRSS location verification under
 spatially correlated log-normal shadowing."""
 
-from .adversary import (
-    AttackStrategy,
-    SearchConfig,
-    kl_drss,
-    kl_rss,
-    kl_rss_minimized,
-    optimal_power_boost,
-    optimize_true_location,
-)
-from .channel import (
-    NetworkGeometry,
-    ShadowingModel,
-    build_covariance,
-    mean_vector,
-    sample_observation,
-    sample_observations,
-)
-from .detector import (
-    DetectorSpec,
-    RatePair,
-    RocCurve,
-    analytic_rates,
-    build_d_matrix,
-    decide,
-    drss_transform,
-    roc_sweep,
-    test_statistic,
-)
-from .experiments import (
-    Scenario,
-    builtin_scenario,
-    builtin_scenarios,
-    detector_spec,
-    resolve_attack,
-    run_scenario,
-    verify_theorems,
-)
-from .montecarlo import EmpiricalRate, TrialPlan, estimate_kl, estimate_rate
+from .channel import mean_vector
+from .detector import analytic_rates
+from .experiments import builtin_scenario, detector_spec, resolve_attack
 
 __version__ = "0.1.0"

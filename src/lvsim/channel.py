@@ -286,8 +286,7 @@ def sample_observation(
     model: ShadowingModel, mean: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw one dB observation vector: ``mean + L @ z`` with i.i.d. normal z."""
-    z = rng.standard_normal(model.chol_lower.shape[0])
-    return np.asarray(mean, dtype=float) + model.chol_lower @ z
+    return sample_observations(model, mean, rng, 1)[0]
 
 
 def sample_observations(

@@ -191,14 +191,23 @@ def test_statistic(spec: DetectorSpec, obs: np.ndarray):
     return obs @ spec._direction
 
 
+def _log_thresholds(log_threshold) -> np.ndarray:
+    """ln λ as a float array; a NaN ln λ raises DetectorError."""
+    lam = np.asarray(log_threshold, dtype=float)
+    if np.isnan(lam).any():
+        raise DetectorError("ln λ is NaN; a threshold must be a number or ±inf")
+    return lam
+
+
 def decide(spec: DetectorSpec, obs: np.ndarray, log_threshold=0.0):
     """True where the detector accepts H1 (flags the user as malicious).
 
     Equality with the threshold decides H1.  The statistic is computed once;
-    an array of k thresholds gives decisions of shape (..., k).
+    an array of k thresholds gives decisions of shape (..., k).  A NaN ln λ
+    raises DetectorError.
     """
     stat = test_statistic(spec, obs)
-    thr = spec.statistic_threshold(np.asarray(log_threshold))
+    thr = spec.statistic_threshold(_log_thresholds(log_threshold))
     # built with the thresholds outermost, so each threshold's decisions are
     # contiguous, then viewed with the threshold axes last
     k = thr.ndim
@@ -215,9 +224,7 @@ def analytic_rates(spec: DetectorSpec, log_threshold=0.0) -> RatePair:
     stack + ln λ shape, row for row equal to the one-spec calls.  ln λ = ±inf
     gives rates 0 and 1; a NaN ln λ raises DetectorError.
     """
-    lam = np.asarray(log_threshold, dtype=float)
-    if np.isnan(lam).any():
-        raise DetectorError("ln λ is NaN; a threshold must be a number or ±inf")
+    lam = _log_thresholds(log_threshold)
     s = spec.separation
     if spec._direction.ndim > 1:
         s = s.reshape(s.shape + (1,) * lam.ndim)

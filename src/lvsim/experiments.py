@@ -25,7 +25,7 @@ from .adversary import (
     optimize_true_location,
     refined_grid_cell,
 )
-from .channel import NetworkGeometry, ShadowingModel, build_covariance, mean_vector
+from .channel import GeometryError, NetworkGeometry, ShadowingModel, build_covariance, mean_vector
 from .detector import (
     DetectorSpec,
     analytic_rates,
@@ -158,6 +158,10 @@ class Scenario:
         for loc in ((self.attack.true_location,) if self.attack.true_location else ()) + tuple(
             self.alt_locations
         ):
+            try:
+                mean_vector(self.geometry, loc)
+            except GeometryError as exc:
+                raise ScenarioError(f"{exc}: {loc}") from None
             d = math.dist(loc, tuple(self.geometry.claimed_location))
             if d < self.min_distance:
                 raise ScenarioError(
@@ -319,24 +323,35 @@ def _matched_spec(mode: str, u, v, cov) -> DetectorSpec:
     )
 
 
-def optimal_auc(
-    scenario: Scenario,
-    mode: str = "rss",
-    correlation_distance: float | None = None,
-    min_distance: float | None = None,
-):
-    """Exact ROC area under a re-optimized attack; returns (auc, strategy, spec).
+def optimal_auc(scenario: Scenario) -> tuple:
+    """Exact RSS ROC area under a re-optimized attack at every sweep point:
+    (parameter, value, auc) rows, the D_c values first, then the r values.
 
-    Optionally overrides the correlation distance or the exclusion radius
-    (re-deriving the search region for the latter).
+    Every point is one row of a geometry stack, searched in one call and
+    scored by one spec stack: a D_c row with its own model, an r row with its
+    own config, whose search region is re-derived from r.
     """
-    model = scenario.shadowing(correlation_distance)
     cfg = scenario.search_config()
-    if min_distance is not None:
-        cfg = replace(cfg, min_distance=min_distance, region=None)
-    strategy = optimize_true_location(mode, cfg, scenario.geometry, model)
-    spec = detector_spec(mode, scenario.geometry, model, strategy)
-    return exact_auc(spec.separation), strategy, spec
+    rows = [
+        ("correlation_distance", dc, scenario.shadowing(dc), cfg) for dc in scenario.dc_values or ()
+    ]
+    rows += [
+        ("min_distance", r, scenario.shadowing(), replace(cfg, min_distance=r, region=None))
+        for r in scenario.r_values or ()
+    ]
+    if not rows:
+        return ()
+    _, _, models, configs = zip(*rows)
+    geometry = NetworkGeometry.stack([scenario.geometry] * len(rows))
+    model = ShadowingModel.stack(models)
+    strategies = optimize_true_location("rss", configs, geometry, model)
+    boosts = np.array([s.power_boost_db for s in strategies])[:, None]
+    v = boosts + mean_vector(geometry, np.array([s.true_location for s in strategies]))
+    spec = _matched_spec("rss", geometry.claimed_mean, v, model.covariance)
+    return tuple(
+        (parameter, value, exact_auc(s))
+        for (parameter, value, *_), s in zip(rows, spec.separation.tolist())
+    )
 
 
 def roc_stage(scenario: Scenario, mode: str, model: ShadowingModel):
@@ -366,8 +381,7 @@ class ModeResult:
 class ScenarioResult:
     scenario: Scenario
     modes: dict
-    dc_sweep: tuple = ()  # (D_c, auc) pairs, RSS mode, re-optimized attack
-    r_sweep: tuple = ()  # (r, auc) pairs, RSS mode, re-optimized attack
+    sweep: tuple = ()  # optimal_auc's (parameter, value, auc) rows
 
     @property
     def worst_sigma(self) -> float:
@@ -378,12 +392,9 @@ class ScenarioResult:
         )
 
 
-def run_scenario(
-    scenario: Scenario,
-    outdir: str | Path | None = None,
-    mc_thresholds=MC_LOG_THRESHOLDS,
-) -> ScenarioResult:
-    """Full pipeline for one scenario: attack, analytic ROC, MC validation.
+def run_scenario(scenario: Scenario, outdir: str | Path | None = None) -> ScenarioResult:
+    """Full pipeline for one scenario: attack, analytic ROC, MC validation at
+    ``MC_LOG_THRESHOLDS``, and the sweep stage.
 
     The Monte Carlo check draws once per distribution: one H0 set scored by
     each mode's spec at every ln λ, since RSS and DRSS see the same
@@ -416,15 +427,15 @@ def run_scenario(
 
     # H0 rates come back mode by mode, then by threshold.
     all_specs = tuple(spec for *_, spec in analysis.values())
-    h0_rates = iter(estimate_rate(plan("h0", 0), all_specs, geometry, model, mc_thresholds))
+    h0_rates = iter(estimate_rate(plan("h0", 0), all_specs, geometry, model, MC_LOG_THRESHOLDS))
     mode_results = {}
     for mode, (strategy, curve, alt_rocs, spec) in analysis.items():
         h1_plan = plan("h1", _H1_STREAM_KEYS[mode], strategy)
-        h1_rates = estimate_rate(h1_plan, (spec,), geometry, model, mc_thresholds)
+        h1_rates = estimate_rate(h1_plan, (spec,), geometry, model, MC_LOG_THRESHOLDS)
         records = []
-        rates = analytic_rates(spec, mc_thresholds)
+        rates = analytic_rates(spec, MC_LOG_THRESHOLDS)
         for lam, alpha, beta, h1_emp in zip(
-            mc_thresholds, rates.alpha.tolist(), rates.beta.tolist(), h1_rates
+            MC_LOG_THRESHOLDS, rates.alpha.tolist(), rates.beta.tolist(), h1_rates
         ):
             for hyp, emp, analytic in (
                 ("h0", next(h0_rates), alpha),
@@ -451,22 +462,7 @@ def run_scenario(
             alt_rocs=alt_rocs,
         )
 
-    dc_sweep = ()
-    if scenario.dc_values is not None:
-        dc_sweep = tuple(
-            (dc, optimal_auc(scenario, "rss", correlation_distance=dc)[0])
-            for dc in scenario.dc_values
-        )
-    r_sweep = ()
-    if scenario.r_values is not None:
-        r_sweep = tuple(
-            (r, optimal_auc(scenario, "rss", min_distance=r)[0])
-            for r in scenario.r_values
-        )
-
-    result = ScenarioResult(
-        scenario=scenario, modes=mode_results, dc_sweep=dc_sweep, r_sweep=r_sweep
-    )
+    result = ScenarioResult(scenario=scenario, modes=mode_results, sweep=optimal_auc(scenario))
     if outdir is not None:
         _write_result(result, Path(outdir))
     return result
@@ -483,12 +479,9 @@ def _write_result(result: ScenarioResult, outdir: Path) -> None:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
     attack = {mode: asdict(mr.strategy) for mode, mr in result.modes.items()}
     (base / "attack.json").write_text(json.dumps(attack, sort_keys=True, indent=2) + "\n")
-    if result.dc_sweep or result.r_sweep:
+    if result.sweep:
         lines = ["parameter,value,auc"]
-        for dc, auc in result.dc_sweep:
-            lines.append(f"correlation_distance,{dc:.12g},{auc:.12g}")
-        for r, auc in result.r_sweep:
-            lines.append(f"min_distance,{r:.12g},{auc:.12g}")
+        lines += [f"{parameter},{value:.12g},{auc:.12g}" for parameter, value, auc in result.sweep]
         (base / "sweep.csv").write_text("\n".join(lines) + "\n")
 
 

@@ -1,4 +1,4 @@
-"""Monte Carlo estimation of detector rates and KL divergences.
+"""Monte Carlo estimation of detector rates.
 
 Serves as the independent empirical check on every closed-form rate.
 A plan names one distribution of observations (H0, or H1 under one attack
@@ -29,9 +29,7 @@ __all__ = [
     "PlanError",
     "TrialPlan",
     "EmpiricalRate",
-    "KlEstimate",
     "estimate_rate",
-    "estimate_kl",
     "agreement_sigma",
 ]
 
@@ -93,15 +91,6 @@ class EmpiricalRate:
     n_trials: int
 
 
-@dataclass(frozen=True)
-class KlEstimate:
-    """Sample-mean KL estimate (nats) with its standard error."""
-
-    value: float
-    stderr: float
-    n_samples: int
-
-
 def _rss_mean(plan: TrialPlan, geometry: NetworkGeometry) -> np.ndarray:
     if plan.hypothesis == "h0":
         return geometry.claimed_mean
@@ -145,36 +134,6 @@ def estimate_rate(
         stderr = float(np.sqrt(rate * (1.0 - rate) / n))
         rates.append(EmpiricalRate(rate=rate, stderr=stderr, n_trials=n))
     return tuple(rates)
-
-
-def estimate_kl(
-    x_t,
-    p_x: float,
-    geometry: NetworkGeometry,
-    model: ShadowingModel,
-    n_samples: int,
-    seed: int,
-) -> KlEstimate:
-    """Sample-mean estimate of the RSS KL divergence under H0.
-
-    Averages the log-likelihood ratio ln f(y|H0) / ln f(y|attack) over draws
-    from the legitimate distribution.
-    """
-    if not _is_count(n_samples):
-        raise PlanError(f"n_samples must be an integer, got {n_samples!r}")
-    if n_samples < 1:
-        raise PlanError("n_samples must be at least 1")
-    u = geometry.claimed_mean
-    m1 = p_x + mean_vector(geometry, x_t)
-    rng = _stream(seed)
-    y = sample_observations(model, u, rng, n_samples)
-    # log ratio of two same-covariance Gaussians: quadratic terms only
-    z0 = (y - u) @ model.whitener.T
-    z1 = (y - m1) @ model.whitener.T
-    ratio = 0.5 * (np.einsum("ij,ij->i", z1, z1) - np.einsum("ij,ij->i", z0, z0))
-    value = float(np.mean(ratio))
-    stderr = float(np.std(ratio, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else float("inf")
-    return KlEstimate(value=value, stderr=stderr, n_samples=n_samples)
 
 
 def agreement_sigma(empirical: EmpiricalRate, analytic: float) -> float:

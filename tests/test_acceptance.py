@@ -1,6 +1,7 @@
 """Acceptance gate: one test per criterion, one pass/fail line each."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from lvsim.experiments import (
     builtin_scenario,
     builtin_scenarios,
     detector_spec,
-    optimal_auc,
+    roc_stage,
     run_scenario,
 )
 
@@ -161,32 +162,32 @@ def test_criterion_5_closed_form_boost_vs_numerical():
 
 
 def test_criterion_6_correlation_benefit(registry_results):
-    sweep = registry_results["fig4"].dc_sweep
-    aucs = [auc for _, auc in sweep]
+    sweep = registry_results["fig4"].sweep
+    aucs = [auc for *_, auc in sweep]
     ok = all(b > a for a, b in zip(aucs, aucs[1:]))
     # desk-scale counterpart of the reported detection-rate improvement
-    scenario = builtin_scenario("fig4")
     betas = {}
     for dc in (0.0, 50.0):
-        _, _, spec = optimal_auc(scenario, "rss", correlation_distance=dc)
+        scenario = replace(builtin_scenario("fig4"), correlation_distance=dc)
+        _, spec, _ = roc_stage(scenario, "rss", scenario.shadowing())
         betas[dc] = float(q_function(norm.isf(0.1) - math.sqrt(spec.separation)))
     ratio = betas[50.0] / betas[0.0]
     report(
         6,
         ok,
-        f"AUC strictly increases over D_c {[f'{dc:g}:{auc:.6f}' for dc, auc in sweep]}; "
+        f"AUC strictly increases over D_c {[f'{dc:g}:{auc:.6f}' for _, dc, auc in sweep]}; "
         f"detection-rate ratio at alpha=0.1 (D_c 50 vs 0): {ratio:.3f} (recorded)",
     )
 
 
 def test_criterion_7_distance_benefit(registry_results):
-    sweep = registry_results["fig6"].r_sweep
-    aucs = [auc for _, auc in sweep]
+    sweep = registry_results["fig6"].sweep
+    aucs = [auc for *_, auc in sweep]
     ok = all(b > a for a, b in zip(aucs, aucs[1:]))
     report(
         7,
         ok,
-        f"AUC strictly increases over r {[f'{r:g}:{auc:.6f}' for r, auc in sweep]}",
+        f"AUC strictly increases over r {[f'{r:g}:{auc:.6f}' for _, r, auc in sweep]}",
     )
 
 

@@ -304,6 +304,23 @@ class TestMain:
         assert code == 1
         assert "missing required key 'min_distance'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lines",
+        ["alt_location = 201.4 -9\n", "attack = fixed-location\ntrue_location = 201.4 -9\n"],
+        ids=["alt-location", "true-location"],
+    )
+    def test_location_on_a_station_exits_one(self, tmp_path, capsys, lines):
+        # the station lies outside the 100 m disc, so only the station test fails
+        text = (
+            "name = on-station\nbs = 201.4 -9\nbs = -161.7 9.3\nbs = -97.4 1.2\n"
+            "bs = 91.5 2.4\nsigma_db = 5\ncorrelation_distance = 50\nmin_distance = 100\n"
+        )
+        code = main(["mc", "--scenario", str(write(tmp_path, text + lines)), "-o", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario: location coincides with a base station")
+        assert not (tmp_path / "on-station").exists()
+
     def test_negative_seed_exits_one_before_running(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_scenario", None)  # must not be reached
         code = main(["mc", "--scenario", "fig3", "--seed", "-1", "-o", str(tmp_path)])

@@ -15,6 +15,7 @@ from lvsim.experiments import (
     builtin_scenario,
     builtin_scenarios,
     detector_spec,
+    optimal_auc,
     resolve_attack,
     roc_stage,
     run_scenario,
@@ -97,6 +98,17 @@ class TestRegistry:
             replace(base, min_distance=250.0, search=SearchConfig(min_distance=100.0))
         searched = replace(base, search=SearchConfig(min_distance=100.0, coarse_grid_step=20.0))
         assert searched.search_config().min_distance == searched.min_distance
+
+    @pytest.mark.parametrize("field", ["true_location", "alt_location"])
+    def test_location_on_a_station_rejected_when_built(self, field):
+        # fig2's first station lies outside the 100 m disc
+        station = (201.4, -9.0)
+        if field == "true_location":
+            change = {"attack": AttackPolicy("fixed-location", station)}
+        else:
+            change = {"alt_locations": (station,)}
+        with pytest.raises(ScenarioError, match=r"base station: \(201\.4, -9\.0\)$"):
+            replace(builtin_scenario("fig2"), **change)
 
 
 class TestScenarioValues:
@@ -224,7 +236,7 @@ class TestRunScenario:
     def test_fig1_alt_locations_dominate(self):
         from scipy.stats import norm
 
-        result = run_scenario(builtin_scenario("fig1"), mc_thresholds=())
+        result = run_scenario(builtin_scenario("fig1"))
         opt = result.modes["rss"].roc
         for loc, alt in result.modes["rss"].alt_rocs:
             assert alt.auc > opt.auc
@@ -238,8 +250,9 @@ class TestRunScenario:
                 assert beta_alt > beta_opt
 
     def test_fig6_r_sweep_increasing(self):
-        result = run_scenario(builtin_scenario("fig6"), mc_thresholds=())
-        aucs = [auc for _, auc in result.r_sweep]
+        result = run_scenario(builtin_scenario("fig6"))
+        assert {parameter for parameter, *_ in result.sweep} == {"min_distance"}
+        aucs = [auc for *_, auc in result.sweep]
         assert aucs == sorted(aucs)
         assert len(set(aucs)) == len(aucs)
 
@@ -257,15 +270,6 @@ class TestRunScenario:
         run_scenario(replace(builtin_scenario("fig3"), mc_trials=2000))
         # one H0 set shared by both modes, one H1 set per mode
         assert len(calls) == 3
-
-    def test_no_thresholds_draw_nothing(self, monkeypatch):
-        import lvsim.montecarlo
-
-        calls = []
-        monkeypatch.setattr(lvsim.montecarlo, "sample_observations", lambda *a: calls.append(a))
-        result = run_scenario(builtin_scenario("fig3"), mc_thresholds=())
-        assert calls == []
-        assert all(mr.mc_records == () for mr in result.modes.values())
 
     def test_blocked_draws_cover_each_distribution_once(self, monkeypatch):
         import lvsim.montecarlo
@@ -297,7 +301,7 @@ class TestRunScenario:
 
     def test_output_files(self, tmp_path):
         scenario = builtin_scenario("fig3")
-        run_scenario(scenario, outdir=tmp_path, mc_thresholds=(0.0,))
+        run_scenario(scenario, outdir=tmp_path)
         base = tmp_path / "fig3"
         assert (base / "rss_roc.csv").exists()
         assert (base / "drss_roc.csv").exists()
@@ -306,6 +310,34 @@ class TestRunScenario:
         attack = json.loads((base / "attack.json").read_text())
         assert set(attack) == {"rss", "drss"}
         assert math.dist(attack["rss"]["true_location"], CLAIMED) >= 100.0 - 1e-9
+
+
+class TestSweepStage:
+    @pytest.mark.parametrize("name", ["fig4", "fig5", "fig6"])
+    def test_rows_equal_per_point_searches_bitwise(self, name, monkeypatch):
+        scenario = builtin_scenario(name)
+        searches = []
+        search = experiments.optimize_true_location
+
+        def counting(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(experiments, "optimize_true_location", counting)
+        rows = optimal_auc(scenario)
+        assert len(searches) == 1
+        monkeypatch.undo()
+        points = [("correlation_distance", dc) for dc in scenario.dc_values or ()]
+        points += [("min_distance", r) for r in scenario.r_values or ()]
+        assert [row[:2] for row in rows] == points
+        for parameter, value, auc in rows:
+            # a scenario without a search config re-derives its region from r
+            point = replace(scenario, **{parameter: value})
+            assert point.search is None
+            assert auc == roc_stage(point, "rss", point.shadowing())[2].auc
+
+    def test_no_sweep_values_give_no_rows(self):
+        assert optimal_auc(builtin_scenario("fig3")) == ()
 
 
 class TestVerifyTheorems:

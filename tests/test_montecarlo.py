@@ -1,25 +1,29 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lvsim.adversary import kl_rss
+import lvsim.montecarlo
 from lvsim.channel import mean_vector, sample_observations
-from lvsim.detector import drss_transform
+from lvsim.detector import DetectorError, decide, drss_transform
 from lvsim.detector import test_statistic as linear_statistic
-from lvsim.experiments import MC_LOG_THRESHOLDS, builtin_scenario, detector_spec, resolve_attack
+from lvsim.experiments import (
+    MC_LOG_THRESHOLDS,
+    AttackPolicy,
+    builtin_scenario,
+    detector_spec,
+    resolve_attack,
+)
 from lvsim.montecarlo import (
     _BLOCK_ROWS,
-    KlEstimate,
+    SUITE_Z,
     PlanError,
     TrialPlan,
     _stream,
     agreement_sigma,
-    estimate_kl,
     estimate_rate,
 )
-
-from conftest import CLAIMED
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +168,25 @@ class TestEstimateRate:
             assert len(scalar) == len(specs)
             assert scalar == estimate_rate(plan, specs, scenario.geometry, model, (lam,))
 
+    def test_no_thresholds_draw_nothing(self, fig2_setup, fig2_specs, monkeypatch):
+        scenario, model, _ = fig2_setup
+        specs = tuple(spec for _, spec in fig2_specs.values())
+        calls = []
+        monkeypatch.setattr(lvsim.montecarlo, "sample_observations", lambda *a: calls.append(a))
+        plan = TrialPlan(1000, seed=0, hypothesis="h0")
+        assert estimate_rate(plan, specs, scenario.geometry, model, ()) == ()
+        assert calls == []
+
+    @pytest.mark.parametrize("lam", [np.nan, [0.0, np.nan]])
+    def test_nan_threshold_rejected_as_analytic_rates_does(self, fig2_setup, fig2_specs, lam):
+        scenario, model, _ = fig2_setup
+        _, spec = fig2_specs["rss"]
+        with pytest.raises(DetectorError, match="ln λ is NaN"):
+            decide(spec, scenario.geometry.claimed_mean, lam)
+        plan = TrialPlan(100, seed=0, hypothesis="h0")
+        with pytest.raises(DetectorError, match="ln λ is NaN"):
+            estimate_rate(plan, (spec,), scenario.geometry, model, lam)
+
     def test_h1_without_strategy_rejected(self):
         with pytest.raises(PlanError):
             TrialPlan(100, seed=0, hypothesis="h1")
@@ -183,32 +206,23 @@ class TestEstimateRate:
         assert TrialPlan(np.int64(10), seed=0, hypothesis="h0").n_trials == 10
 
 
-class TestEstimateKl:
-    def test_zero_at_legitimate_configuration(self, fig3_geometry, fig3_model):
-        est = estimate_kl(CLAIMED, 0.0, fig3_geometry, fig3_model, 20_000, seed=6)
-        assert abs(est.value) <= max(3 * est.stderr, 1e-12)
-
-    def test_matches_closed_form(self, fig3_geometry, fig3_model):
-        x_t, p_x = [550.0, 5.0], 0.0
-        est = estimate_kl(x_t, p_x, fig3_geometry, fig3_model, 1_000_000, seed=7)
-        closed = kl_rss(p_x, x_t, fig3_geometry, fig3_model)
-        assert abs(est.value - closed) <= 3 * est.stderr
-
-    def test_stderr_scales_inverse_sqrt(self, fig3_geometry, fig3_model):
-        x_t = [300.0, 5.0]
-        small = estimate_kl(x_t, 2.0, fig3_geometry, fig3_model, 25_000, seed=8)
-        large = estimate_kl(x_t, 2.0, fig3_geometry, fig3_model, 100_000, seed=8)
-        assert large.stderr == pytest.approx(small.stderr / 2, rel=0.15)
-
-    @pytest.mark.parametrize("bad", [1000.0, 2.5, True])
-    def test_non_integral_samples_rejected(self, fig3_geometry, fig3_model, bad):
-        with pytest.raises(PlanError, match="n_samples"):
-            estimate_kl([300.0, 5.0], 0.0, fig3_geometry, fig3_model, bad, seed=9)
-
-    def test_returns_estimate_object(self, fig3_geometry, fig3_model):
-        est = estimate_kl([300.0, 5.0], 0.0, fig3_geometry, fig3_model, 100, seed=9)
-        assert isinstance(est, KlEstimate)
-        assert est.n_samples == 100
+class TestDecisionPathKl:
+    def test_h0_statistic_mean_matches_kl(self):
+        # ln f0(y)/f1(y) = statistic_threshold(0) - T(y), so its H0 mean is
+        # the KL divergence the attack strategy reports
+        scenario = replace(
+            builtin_scenario("fig3"), attack=AttackPolicy("fixed", (550.0, 5.0), 0.0)
+        )
+        model = scenario.shadowing()
+        rng = np.random.default_rng(7)
+        y = sample_observations(model, scenario.geometry.claimed_mean, rng, 200_000)
+        for mode in ("rss", "drss"):
+            strategy = resolve_attack(scenario, mode, model)
+            spec = detector_spec(mode, scenario.geometry, model, strategy)
+            obs = drss_transform(y) if mode == "drss" else y
+            ratio = spec.statistic_threshold(0.0) - linear_statistic(spec, obs)
+            stderr = ratio.std(ddof=1) / np.sqrt(ratio.size)
+            assert abs(ratio.mean() - strategy.kl_nats) <= SUITE_Z * stderr, mode
 
 
 class TestAgreementSigma:

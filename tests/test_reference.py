@@ -38,7 +38,6 @@ from lvsim.channel import (
     ShadowingModel,
     build_covariance,
     mean_vector,
-    sample_observations,
 )
 from lvsim.detector import (
     DetectorSpec,
@@ -62,7 +61,6 @@ from lvsim.experiments import (
     resolve_attack,
     verify_theorems,
 )
-from lvsim.montecarlo import _stream, estimate_kl
 
 from conftest import CLAIMED, random_setup
 
@@ -132,22 +130,6 @@ def test_boost_column_matches_scalar_calls(setups):
         scalar = np.array([kl_rss(p, x_t, geometry, model) for p in p_grid])
         assert column.shape == (21,)
         assert np.max(np.abs(column - scalar) / scalar) <= 1e-14
-
-
-def test_estimate_kl_matches_cho_solve(setups):
-    for k, (geometry, model, x_t, p_x) in enumerate(setups[:40]):
-        est = estimate_kl(x_t, p_x, geometry, model, 500, seed=k)
-        u = mean_vector(geometry, CLAIMED)
-        m1 = p_x + mean_vector(geometry, x_t)
-        y = sample_observations(model, u, _stream(k), 500)
-        factor = (model.chol_lower, True)
-        d0, d1 = y - u, y - m1
-        ratio = 0.5 * (
-            np.einsum("ij,ji->i", d1, cho_solve(factor, d1.T))
-            - np.einsum("ij,ji->i", d0, cho_solve(factor, d0.T))
-        )
-        assert rel_err(est.value, ratio.mean()) < REL
-        assert rel_err(est.stderr, ratio.std(ddof=1) / np.sqrt(500)) < REL
 
 
 def test_detector_direction_matches_cho_solve(setups):
