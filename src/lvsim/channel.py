@@ -82,13 +82,12 @@ class NetworkGeometry:
             raise GeometryError("reference distance must be positive")
         if self.path_loss_exponent <= 0:
             raise GeometryError("path loss exponent must be positive")
-        d = np.linalg.norm(bs[..., :, None, :] - bs[..., None, :, :], axis=-1)
+        with np.errstate(over="ignore"):  # a distance that overflows is inf, not 0
+            d = np.linalg.norm(bs[..., :, None, :] - bs[..., None, :, :], axis=-1)
         d[..., range(bs.shape[-2]), range(bs.shape[-2])] = np.inf
         if (d == 0.0).any():
             raise GeometryError("base-station positions must be pairwise distinct")
-        if (np.linalg.norm(bs - xc[..., None, :], axis=-1) == 0.0).any():
-            raise GeometryError("claimed location coincides with a base station")
-        u = mean_vector(self, xc)
+        u = _finite_mean(self, xc)  # also rejects a claim on a station
         u.flags.writeable = False
         object.__setattr__(self, "claimed_mean", u)
 
@@ -218,6 +217,23 @@ def mean_vector(geometry: NetworkGeometry, location) -> np.ndarray:
     )
 
 
+def _finite_mean(geometry: NetworkGeometry, location) -> np.ndarray:
+    """``mean_vector``, with a GeometryError where any mean overflows to inf or NaN."""
+    with np.errstate(all="ignore"):
+        mean = mean_vector(geometry, location)
+    if not np.isfinite(mean).all():
+        raise GeometryError("mean received power is not finite")
+    return mean
+
+
+def _shadowing_variance(sigma_db, error) -> float:
+    """``sigma_db ** 2``; raises ``error`` unless σ > 0 and σ² is a finite normal float."""
+    square = float(sigma_db) * float(sigma_db)  # inf on overflow, where ** raises
+    if not (sigma_db > 0.0 and np.finfo(float).tiny <= square < np.inf):
+        raise error(f"sigma_db must be positive with a finite, normal square, got {sigma_db!r}")
+    return sigma_db**2
+
+
 def _dot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """a . w over the last axis of ``a``; a stacked w (T, n) meets row t of
     a (T, ..., n) as w[t], rounding as the per-geometry products do."""
@@ -241,13 +257,11 @@ def build_covariance(
     ``correlation_distance == 0`` selects the exactly uncorrelated model
     (diagonal covariance) rather than evaluating the degenerate kernel limit.
     """
-    if not 0.0 < sigma_db < np.inf:
-        raise CovarianceError("sigma_db must be positive and finite")
+    var = _shadowing_variance(sigma_db, CovarianceError)
     if not 0.0 <= correlation_distance < np.inf:
         raise CovarianceError("correlation_distance must be nonnegative and finite")
     bs = geometry.bs_positions
     n = geometry.n_stations
-    var = sigma_db**2
     if correlation_distance == 0.0:
         cov = var * np.eye(n)
     else:

@@ -8,7 +8,6 @@ import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
-from .adversary import SearchConfig, SearchError
 from .channel import GeometryError
 from .detector import roc_to_csv
 from .experiments import (
@@ -61,7 +60,7 @@ def _words(value):
 
 # Scenario-file key -> (constructor it feeds, field, value parser).  Only the
 # keys a file sets are passed on, so each omitted key takes the default of
-# deployment_geometry, AttackPolicy, SearchConfig or Scenario.
+# deployment_geometry, AttackPolicy or Scenario.
 _KEYS = {
     "name": ("scenario", "name", str),
     "bs": ("geometry", "bs", _numbers(2)),
@@ -79,13 +78,11 @@ _KEYS = {
     "thresholds": ("scenario", "thresholds", _numbers()),
     "mc_trials": ("scenario", "mc_trials", _number(int)),
     "mc_seed": ("scenario", "mc_seed", _number(int)),
-    "region": ("search", "region", _numbers(4)),
-    "coarse_grid_step": ("search", "coarse_grid_step", _number(float)),
+    "region": ("scenario", "region", _numbers(4)),
+    "coarse_grid_step": ("scenario", "coarse_grid_step", _number(float)),
     "dc_values": ("scenario", "dc_values", _numbers()),
     "r_values": ("scenario", "r_values", _numbers()),
-    "alt_location": ("scenario", "alt_locations", _numbers(2)),
 }
-_REPEATED_KEYS = {"bs", "alt_location"}
 # the Scenario fields without a default that a file sets directly
 _REQUIRED_KEYS = tuple(
     f.name for f in fields(Scenario) if f.default is MISSING and f.name in _KEYS
@@ -98,7 +95,7 @@ def parse_scenario_file(path: str | Path) -> Scenario:
     Unknown keys are rejected; invariant violations raise with the name of
     the violated constraint.
     """
-    args = {"geometry": {}, "attack": {}, "search": {}, "scenario": {}}
+    args = {"geometry": {}, "attack": {}, "scenario": {}}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -109,13 +106,13 @@ def parse_scenario_file(path: str | Path) -> Scenario:
         if key not in _KEYS:
             raise ScenarioFileError(f"line {line_no}: unknown key '{key}'")
         target, name, parse = _KEYS[key]
-        if key not in _REPEATED_KEYS and name in args[target]:
+        if key != "bs" and name in args[target]:
             raise ScenarioFileError(f"line {line_no}: duplicate key '{key}'")
         try:
             parsed = parse(value)
         except ValueError as exc:
             raise ScenarioFileError(f"line {line_no}: key '{key}' {exc}") from exc
-        if key in _REPEATED_KEYS:
+        if key == "bs":  # the one key a file repeats
             parsed = args[target].get(name, ()) + (parsed,)
         args[target][name] = parsed
 
@@ -131,11 +128,6 @@ def parse_scenario_file(path: str | Path) -> Scenario:
     if args["attack"]:
         scenario["attack"] = _build(
             AttackPolicy, args["attack"], ScenarioError, "invalid attack: "
-        )
-    if args["search"]:
-        search = {"min_distance": scenario["min_distance"], **args["search"]}
-        scenario["search"] = _build(
-            SearchConfig, search, SearchError, "invalid search configuration: "
         )
     return _build(Scenario, scenario, ScenarioError, "invalid scenario: ")
 

@@ -17,6 +17,7 @@ import numpy as np
 from .adversary import (
     AttackStrategy,
     SearchConfig,
+    SearchError,
     default_search_region,
     kl_drss,
     kl_rss,
@@ -26,6 +27,7 @@ from .adversary import (
     refined_grid_cell,
 )
 from .channel import GeometryError, NetworkGeometry, ShadowingModel, build_covariance, mean_vector
+from .channel import _finite_mean, _shadowing_variance
 from .detector import (
     DetectorSpec,
     analytic_rates,
@@ -65,6 +67,9 @@ _H1_STREAM_KEYS = {"rss": 1, "drss": 2}
 
 # Claimed location shared by every published configuration.
 _CLAIMED = (50.0, 5.0)
+
+# Correlation distances of the published D_c sweeps (fig4 and fig5).
+_DC_SWEEP = (0.0, 10.0, 50.0, 200.0)
 
 # verify_theorems draws and checks its geometries in blocks of this many
 # trials, so the stacks it holds stay the same size however many it runs.
@@ -110,7 +115,8 @@ class AttackPolicy:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One complete experiment configuration."""
+    """One complete experiment configuration; ``min_distance``, ``region`` and
+    ``coarse_grid_step`` are the settings of its attacker search."""
 
     name: str
     geometry: NetworkGeometry
@@ -122,21 +128,18 @@ class Scenario:
     thresholds: tuple | None = None
     mc_trials: int = 100_000
     mc_seed: int = 1
-    search: SearchConfig | None = None
+    region: tuple | None = None
+    coarse_grid_step: float = SearchConfig.coarse_grid_step
     dc_values: tuple | None = None
     r_values: tuple | None = None
-    alt_locations: tuple = ()
 
     def __post_init__(self):
-        if not 0.0 < self.sigma_db < math.inf:
-            raise ScenarioError(f"sigma_db must be positive and finite, got {self.sigma_db!r}")
+        _shadowing_variance(self.sigma_db, ScenarioError)
         if not 0.0 <= self.correlation_distance < math.inf:
             raise ScenarioError(
                 "correlation_distance must be nonnegative and finite, "
                 f"got {self.correlation_distance!r}"
             )
-        if not 0.0 < self.min_distance < math.inf:
-            raise ScenarioError("min_distance must be positive and finite")
         if not all(0.0 <= dc < math.inf for dc in self.dc_values or ()):
             raise ScenarioError(f"dc_values must be nonnegative and finite, got {self.dc_values!r}")
         if not all(0.0 < r < math.inf for r in self.r_values or ()):
@@ -155,11 +158,13 @@ class Scenario:
             raise ScenarioError(f"mc_seed must be a nonnegative integer, got {self.mc_seed!r}")
         for mode in self.modes:
             _check_mode(mode)
-        for loc in ((self.attack.true_location,) if self.attack.true_location else ()) + tuple(
-            self.alt_locations
-        ):
+        try:
+            self.search_config()
+        except SearchError as exc:
+            raise ScenarioError(f"invalid search configuration: {exc}") from None
+        if (loc := self.attack.true_location) is not None:
             try:
-                mean_vector(self.geometry, loc)
+                _finite_mean(self.geometry, loc)
             except GeometryError as exc:
                 raise ScenarioError(f"{exc}: {loc}") from None
             d = math.dist(loc, tuple(self.geometry.claimed_location))
@@ -168,16 +173,9 @@ class Scenario:
                     f"location {loc} lies {d:.6g} m from the claimed location, "
                     f"inside the {self.min_distance:.6g} m minimum-distance disc"
                 )
-        if self.search is not None and self.search.min_distance != self.min_distance:
-            raise ScenarioError(
-                f"search min_distance {self.search.min_distance!r} differs from the "
-                f"scenario's min_distance {self.min_distance!r}"
-            )
 
     def search_config(self) -> SearchConfig:
-        if self.search is not None:
-            return self.search
-        return SearchConfig(min_distance=self.min_distance)
+        return SearchConfig(self.min_distance, self.region, self.coarse_grid_step)
 
     def shadowing(self, correlation_distance: float | None = None) -> ShadowingModel:
         dc = self.correlation_distance if correlation_distance is None else correlation_distance
@@ -207,68 +205,40 @@ def deployment_geometry(
     )
 
 
-_CORRIDOR_BS = [[-250.0, 10.0], [0.0, -10.0], [250.0, 10.0]]
-_MIXED_BS = [[0.0, 10.0], [131.4, -9.3], [20.6, -0.9]]
-
-
 def builtin_scenarios() -> list[Scenario]:
-    """The six registered experiment configurations."""
+    """The six registered experiment configurations: three deployments, fig1
+    (corridor), fig2 and fig3 (mixed), then fig4-fig6, which sweep fig1 and fig3."""
+    fig1 = Scenario(
+        name="fig1",
+        geometry=deployment_geometry([[-250.0, 10.0], [0.0, -10.0], [250.0, 10.0]]),
+        sigma_db=7.5,
+        correlation_distance=50.0,
+        min_distance=500.0,
+        mc_seed=11,
+    )
+    fig2 = Scenario(
+        name="fig2",
+        geometry=deployment_geometry([[201.4, -9.0], [-161.7, 9.3], [-97.4, 1.2], [91.5, 2.4]]),
+        sigma_db=5.0,
+        correlation_distance=50.0,
+        min_distance=100.0,
+        mc_seed=12,
+    )
+    fig3 = Scenario(
+        name="fig3",
+        geometry=deployment_geometry([[0.0, 10.0], [131.4, -9.3], [20.6, -0.9]]),
+        sigma_db=5.0,
+        correlation_distance=50.0,
+        min_distance=100.0,
+        mc_seed=13,
+    )
     return [
-        Scenario(
-            name="fig1",
-            geometry=deployment_geometry(_CORRIDOR_BS),
-            sigma_db=7.5,
-            correlation_distance=50.0,
-            min_distance=500.0,
-            alt_locations=((650.0, 5.0), (50.0, 505.0)),
-            mc_seed=11,
-        ),
-        Scenario(
-            name="fig2",
-            geometry=deployment_geometry(
-                [[201.4, -9.0], [-161.7, 9.3], [-97.4, 1.2], [91.5, 2.4]]
-            ),
-            sigma_db=5.0,
-            correlation_distance=50.0,
-            min_distance=100.0,
-            alt_locations=((250.0, 5.0), (50.0, -105.0)),
-            mc_seed=12,
-        ),
-        Scenario(
-            name="fig3",
-            geometry=deployment_geometry(_MIXED_BS),
-            sigma_db=5.0,
-            correlation_distance=50.0,
-            min_distance=100.0,
-            mc_seed=13,
-        ),
-        Scenario(
-            name="fig4",
-            geometry=deployment_geometry(_CORRIDOR_BS),
-            sigma_db=7.5,
-            correlation_distance=50.0,
-            min_distance=500.0,
-            dc_values=(0.0, 10.0, 50.0, 200.0),
-            mc_seed=14,
-        ),
-        Scenario(
-            name="fig5",
-            geometry=deployment_geometry(_MIXED_BS),
-            sigma_db=5.0,
-            correlation_distance=50.0,
-            min_distance=100.0,
-            dc_values=(0.0, 10.0, 50.0, 200.0),
-            mc_seed=15,
-        ),
-        Scenario(
-            name="fig6",
-            geometry=deployment_geometry(_MIXED_BS),
-            sigma_db=5.0,
-            correlation_distance=50.0,
-            min_distance=100.0,
-            r_values=(100.0, 250.0, 500.0),
-            mc_seed=16,
-        ),
+        fig1,
+        fig2,
+        fig3,
+        replace(fig1, name="fig4", dc_values=_DC_SWEEP, mc_seed=14),
+        replace(fig3, name="fig5", dc_values=_DC_SWEEP, mc_seed=15),
+        replace(fig3, name="fig6", r_values=(100.0, 250.0, 500.0), mc_seed=16),
     ]
 
 
@@ -374,7 +344,6 @@ class ModeResult:
     strategy: AttackStrategy
     roc: "RocCurve"  # noqa: F821 - detector.RocCurve
     mc_records: tuple
-    alt_rocs: tuple = ()  # (location, RocCurve) pairs
 
 
 @dataclass(frozen=True)
@@ -406,16 +375,7 @@ def run_scenario(scenario: Scenario, outdir: str | Path | None = None) -> Scenar
     """
     geometry = scenario.geometry
     model = scenario.shadowing()
-    analysis = {}
-    for mode in scenario.modes:
-        strategy, spec, curve = roc_stage(scenario, mode, model)
-        alt_rocs = []
-        for loc in map(tuple, scenario.alt_locations):
-            alt = replace(
-                scenario, attack=AttackPolicy("fixed-location", loc), thresholds=curve.thresholds
-            )
-            alt_rocs.append((loc, roc_stage(alt, mode, model)[2]))
-        analysis[mode] = (strategy, curve, tuple(alt_rocs), spec)
+    analysis = {mode: roc_stage(scenario, mode, model) for mode in scenario.modes}
 
     def plan(hypothesis, key, strategy=None):
         return TrialPlan(
@@ -426,10 +386,10 @@ def run_scenario(scenario: Scenario, outdir: str | Path | None = None) -> Scenar
         )
 
     # H0 rates come back mode by mode, then by threshold.
-    all_specs = tuple(spec for *_, spec in analysis.values())
+    all_specs = tuple(spec for _, spec, _ in analysis.values())
     h0_rates = iter(estimate_rate(plan("h0", 0), all_specs, geometry, model, MC_LOG_THRESHOLDS))
     mode_results = {}
-    for mode, (strategy, curve, alt_rocs, spec) in analysis.items():
+    for mode, (strategy, spec, curve) in analysis.items():
         h1_plan = plan("h1", _H1_STREAM_KEYS[mode], strategy)
         h1_rates = estimate_rate(h1_plan, (spec,), geometry, model, MC_LOG_THRESHOLDS)
         records = []
@@ -459,7 +419,6 @@ def run_scenario(scenario: Scenario, outdir: str | Path | None = None) -> Scenar
             strategy=strategy,
             roc=curve,
             mc_records=tuple(records),
-            alt_rocs=alt_rocs,
         )
 
     result = ScenarioResult(scenario=scenario, modes=mode_results, sweep=optimal_auc(scenario))

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -129,6 +130,21 @@ class TestGeometryValidation:
         with pytest.raises(GeometryError, match="finite"):
             make_geometry(FIG1_BS, gamma=math.nan)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"gamma": 1e308},
+            {"d": 1e-320},
+            {"claimed": [1e200, 1e200]},
+            {"bs": [[1e200, 0.0], [0.0, -10.0], [250.0, 10.0]]},
+        ],
+        ids=["path-loss-exponent", "ref-distance", "claim", "station"],
+    )
+    def test_claimed_mean_must_be_finite(self, change):
+        # finite inputs whose mean overflows to -inf
+        with pytest.raises(GeometryError, match="^mean received power is not finite$"):
+            make_geometry(**{"bs": FIG1_BS, **change})
+
 
 STACK_BS = [
     [[-250.0, 10.0], [0.0, -10.0], [250.0, 10.0]],
@@ -160,8 +176,15 @@ class TestGeometryStack:
             (STACK_BS, [STACK_CLAIMS[0], STACK_BS[1][2]], "coincides"),
             (STACK_BS, [STACK_CLAIMS[0], [np.nan, 0.0]], "finite"),
             (STACK_BS, [STACK_CLAIMS[0]], "one 2-D point per geometry"),
+            (STACK_BS, [STACK_CLAIMS[0], [1e200, 1e200]], "mean received power is not finite"),
         ],
-        ids=["duplicate-stations", "claim-on-station", "non-finite-claim", "claims-short"],
+        ids=[
+            "duplicate-stations",
+            "claim-on-station",
+            "non-finite-claim",
+            "claims-short",
+            "non-finite-mean",
+        ],
     )
     def test_each_row_is_checked(self, bs, claims, message):
         with pytest.raises(GeometryError, match=message):
@@ -270,6 +293,12 @@ class TestCovariance:
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_non_finite_sigma_rejected(self, fig1_geometry, sigma):
         with pytest.raises(CovarianceError, match="sigma_db"):
+            build_covariance(fig1_geometry, sigma, 50.0)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200, 1e-160])
+    def test_sigma_whose_square_is_not_a_normal_float_rejected(self, fig1_geometry, sigma):
+        # 1e200 squares to inf, 1e-200 to zero and 1e-160 to a subnormal float
+        with pytest.raises(CovarianceError, match=f"^sigma_db .*, got {re.escape(repr(sigma))}$"):
             build_covariance(fig1_geometry, sigma, 50.0)
 
     def test_nan_correlation_distance_rejected(self, fig1_geometry):

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lvsim
 from lvsim import cli
-from lvsim.adversary import SearchConfig
 from lvsim.cli import ScenarioFileError, main, parse_scenario_file
 from lvsim.experiments import (
     AttackPolicy,
@@ -31,8 +30,6 @@ bs = 250 10
 sigma_db = 7.5
 correlation_distance = 50
 min_distance = 500
-alt_location = 650 5
-alt_location = 50 505
 mc_seed = 11
 """
 
@@ -79,13 +76,9 @@ def render(scenario):
     for key in ("thresholds", "dc_values", "r_values"):
         if getattr(scenario, key) is not None:
             lines.append(f"{key} = {nums(getattr(scenario, key))}")
-    lines += [f"alt_location = {nums(loc)}" for loc in scenario.alt_locations]
-    if scenario.search is not None:
-        cfg = scenario.search
-        lines += [
-            f"region = {nums(cfg.region)}",
-            f"coarse_grid_step = {cfg.coarse_grid_step!r}",
-        ]
+    if scenario.region is not None:
+        lines.append(f"region = {nums(scenario.region)}")
+    lines.append(f"coarse_grid_step = {scenario.coarse_grid_step!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -97,11 +90,8 @@ ROUND_TRIP = builtin_scenarios() + [
         modes=("drss",),
         thresholds=(-1.0, 0.0, 1.5),
         mc_trials=5000,
-        search=SearchConfig(
-            min_distance=100.0,
-            region=(-400.0, 500.0, -300.0, 300.0),
-            coarse_grid_step=10.0,
-        ),
+        region=(-400.0, 500.0, -300.0, 300.0),
+        coarse_grid_step=10.0,
     )
 ]
 
@@ -114,7 +104,6 @@ NUMERIC_KEYS = [
     "bs", "claimed", "ref_power_db", "ref_distance_m", "path_loss_exponent", "sigma_db",
     "correlation_distance", "min_distance", "true_location", "power_boost_db", "thresholds",
     "mc_trials", "mc_seed", "region", "coarse_grid_step", "dc_values", "r_values",
-    "alt_location",
 ]
 
 
@@ -212,7 +201,8 @@ class TestScenarioFile:
         ],
     )
     def test_bad_search_region_rejected(self, tmp_path, lines, message):
-        with pytest.raises(ScenarioFileError, match=f"invalid search configuration: .*{message}"):
+        prefix = "^invalid scenario: invalid search configuration: "
+        with pytest.raises(ScenarioFileError, match=f"{prefix}.*{message}"):
             parse_scenario_file(write(tmp_path, FIG1_FILE + lines))
 
 
@@ -306,8 +296,11 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "lines",
-        ["alt_location = 201.4 -9\n", "attack = fixed-location\ntrue_location = 201.4 -9\n"],
-        ids=["alt-location", "true-location"],
+        [
+            "attack = fixed-location\ntrue_location = 201.4 -9\n",
+            "attack = fixed\ntrue_location = 201.4 -9\npower_boost_db = 0\n",
+        ],
+        ids=["true-location", "fixed"],
     )
     def test_location_on_a_station_exits_one(self, tmp_path, capsys, lines):
         # the station lies outside the 100 m disc, so only the station test fails
@@ -320,6 +313,35 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid scenario: location coincides with a base station")
         assert not (tmp_path / "on-station").exists()
+
+    def test_alt_location_is_not_a_key(self, tmp_path, capsys):
+        # alternative-location ROCs are not part of a run
+        line = len(FIG1_FILE.splitlines()) + 1
+        path = write(tmp_path, FIG1_FILE + "alt_location = 650 5\n")
+        assert main(["attack", "--scenario", str(path)]) == 1
+        assert f"line {line}: unknown key 'alt_location'" in capsys.readouterr().err
+
+    def test_sigma_with_an_overflowing_square_exits_one(self, tmp_path, capsys):
+        text = FIG1_FILE.replace("sigma_db = 7.5\n", "sigma_db = 1e200\n")
+        assert main(["attack", "--scenario", str(write(tmp_path, text))]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid scenario: sigma_db")
+
+    @pytest.mark.parametrize(
+        "lines, prefix",
+        [
+            ("path_loss_exponent = 1e308\n", "invalid geometry: mean received power"),
+            ("ref_distance_m = 1e-320\n", "invalid geometry: mean received power"),
+            ("claimed = 1e200 1e200\n", "invalid geometry: mean received power"),
+            (
+                "attack = fixed-location\ntrue_location = 1e200 0\n",
+                "invalid scenario: mean received power",
+            ),
+        ],
+        ids=["path-loss-exponent", "ref-distance", "claim", "true-location"],
+    )
+    def test_non_finite_mean_exits_one(self, tmp_path, capsys, lines, prefix):
+        assert main(["attack", "--scenario", str(write(tmp_path, FIG1_FILE + lines))]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {prefix} is not finite")
 
     def test_negative_seed_exits_one_before_running(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_scenario", None)  # must not be reached

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from lvsim.experiments import (
     _geometry_groups,
     builtin_scenario,
     builtin_scenarios,
+    deployment_geometry,
     detector_spec,
     optimal_auc,
     resolve_attack,
@@ -22,7 +23,20 @@ from lvsim.experiments import (
     verify_theorems,
 )
 
-from conftest import CLAIMED
+from conftest import CLAIMED, FIG1_BS, FIG3_BS
+
+FIG2_BS = [[201.4, -9.0], [-161.7, 9.3], [-97.4, 1.2], [91.5, 2.4]]
+
+# name, stations, sigma_db, correlation_distance, min_distance, mc_seed,
+# dc_values, r_values: the published registry; every other field is default
+REGISTRY = [
+    ("fig1", FIG1_BS, 7.5, 50.0, 500.0, 11, None, None),
+    ("fig2", FIG2_BS, 5.0, 50.0, 100.0, 12, None, None),
+    ("fig3", FIG3_BS, 5.0, 50.0, 100.0, 13, None, None),
+    ("fig4", FIG1_BS, 7.5, 50.0, 500.0, 14, (0.0, 10.0, 50.0, 200.0), None),
+    ("fig5", FIG3_BS, 5.0, 50.0, 100.0, 15, (0.0, 10.0, 50.0, 200.0), None),
+    ("fig6", FIG3_BS, 5.0, 50.0, 100.0, 16, None, (100.0, 250.0, 500.0)),
+]
 
 
 class TestRegistry:
@@ -88,33 +102,64 @@ class TestRegistry:
                 attack=AttackPolicy("fixed-location", (100.0, 5.0)),
             )
 
-    def test_search_radius_must_be_the_scenarios(self):
-        # one exclusion radius: a search at 40 m would place the "optimal"
-        # attack inside the 100 m disc that alt_location and true_location obey
-        base = builtin_scenario("fig3")
-        with pytest.raises(ScenarioError, match=r"search min_distance 40\.0 .* min_distance 100\.0"):
-            replace(base, search=SearchConfig(min_distance=40.0))
-        with pytest.raises(ScenarioError, match="min_distance"):
-            replace(base, min_distance=250.0, search=SearchConfig(min_distance=100.0))
-        searched = replace(base, search=SearchConfig(min_distance=100.0, coarse_grid_step=20.0))
-        assert searched.search_config().min_distance == searched.min_distance
+    @pytest.mark.parametrize("row", REGISTRY, ids=lambda row: row[0])
+    def test_registry_values_are_pinned(self, row):
+        name, bs, sigma, dc, r, seed, dc_values, r_values = row
+        expected = Scenario(
+            name=name,
+            geometry=deployment_geometry(bs),
+            sigma_db=sigma,
+            correlation_distance=dc,
+            min_distance=r,
+            mc_seed=seed,
+            dc_values=dc_values,
+            r_values=r_values,
+        )
+        assert builtin_scenario(name) == expected
 
-    @pytest.mark.parametrize("field", ["true_location", "alt_location"])
-    def test_location_on_a_station_rejected_when_built(self, field):
+    @pytest.mark.parametrize("name, base", [("fig4", "fig1"), ("fig5", "fig3"), ("fig6", "fig3")])
+    def test_sweeps_differ_from_their_base_only_in_name_sweep_and_seed(self, name, base):
+        swept, base = builtin_scenario(name), builtin_scenario(base)
+        for f in fields(Scenario):
+            if f.name not in ("name", "mc_seed", "dc_values", "r_values"):
+                assert getattr(swept, f.name) == getattr(base, f.name), f.name
+
+    def test_scenario_owns_its_search_settings(self):
+        # one exclusion radius: the search's is the scenario's min_distance
+        base = builtin_scenario("fig3")
+        assert base.search_config() == SearchConfig(100.0)
+        region = (-400.0, 500.0, -300.0, 300.0)
+        searched = replace(base, region=region, coarse_grid_step=20.0)
+        assert searched.search_config() == SearchConfig(100.0, region, 20.0)
+        with pytest.raises(
+            ScenarioError, match="^invalid search configuration: region must satisfy xmin <= xmax"
+        ):
+            replace(base, region=(10.0, 0.0, 0.0, 10.0))
+
+    @pytest.mark.parametrize(
+        "attack",
+        [
+            AttackPolicy("fixed-location", (201.4, -9.0)),
+            AttackPolicy("fixed", (201.4, -9.0), 0.0),
+        ],
+        ids=["true_location", "fixed"],
+    )
+    def test_location_on_a_station_rejected_when_built(self, attack):
         # fig2's first station lies outside the 100 m disc
-        station = (201.4, -9.0)
-        if field == "true_location":
-            change = {"attack": AttackPolicy("fixed-location", station)}
-        else:
-            change = {"alt_locations": (station,)}
         with pytest.raises(ScenarioError, match=r"base station: \(201\.4, -9\.0\)$"):
-            replace(builtin_scenario("fig2"), **change)
+            replace(builtin_scenario("fig2"), attack=attack)
+
+    def test_attack_location_with_a_non_finite_mean_rejected(self):
+        attack = AttackPolicy("fixed-location", (1e200, 0.0))
+        with pytest.raises(ScenarioError, match=r"mean received power is not finite: \(1e\+200"):
+            replace(builtin_scenario("fig3"), attack=attack)
 
 
 class TestScenarioValues:
     """Numbers that would fail only inside a run are rejected when built."""
 
-    @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0, math.inf])
+    # 1e200 squares to inf, 1e-200 to zero and 1e-160 to a subnormal float
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0, math.inf, 1e200, 1e-200, 1e-160])
     def test_sigma_db(self, bad):
         with pytest.raises(ScenarioError, match="sigma_db"):
             replace(builtin_scenario("fig3"), sigma_db=bad)
@@ -233,22 +278,6 @@ class TestRunScenario:
             for rec in mr.mc_records:
                 assert rec["sigma"] <= 3.89, rec
 
-    def test_fig1_alt_locations_dominate(self):
-        from scipy.stats import norm
-
-        result = run_scenario(builtin_scenario("fig1"))
-        opt = result.modes["rss"].roc
-        for loc, alt in result.modes["rss"].alt_rocs:
-            assert alt.auc > opt.auc
-            assert alt.separation > opt.separation
-            # pointwise in ROC space: beta at matched alpha is a monotone
-            # function of the separation, beta = Q(Q^-1(alpha) - sqrt(s))
-            for alpha in (0.01, 0.1, 0.5, 0.9):
-                z = norm.isf(alpha)
-                beta_opt = norm.sf(z - np.sqrt(opt.separation))
-                beta_alt = norm.sf(z - np.sqrt(alt.separation))
-                assert beta_alt > beta_opt
-
     def test_fig6_r_sweep_increasing(self):
         result = run_scenario(builtin_scenario("fig6"))
         assert {parameter for parameter, *_ in result.sweep} == {"min_distance"}
@@ -331,9 +360,9 @@ class TestSweepStage:
         points += [("min_distance", r) for r in scenario.r_values or ()]
         assert [row[:2] for row in rows] == points
         for parameter, value, auc in rows:
-            # a scenario without a search config re-derives its region from r
+            # a scenario without a region re-derives it from r
             point = replace(scenario, **{parameter: value})
-            assert point.search is None
+            assert point.region is None
             assert auc == roc_stage(point, "rss", point.shadowing())[2].auc
 
     def test_no_sweep_values_give_no_rows(self):
