@@ -62,13 +62,12 @@ class AttackStrategy:
 class SearchConfig:
     """Deterministic search parameters for the attacker's location.
 
-    ``region`` is (xmin, xmax, ymin, ymax); None derives a default from the
-    geometry.  ``min_distance`` is the threat model's exclusion radius around
-    the claimed location (boundary feasible).
+    ``min_distance`` is the threat model's exclusion radius r around the
+    claimed location (boundary feasible).  The box searched is not a setting:
+    it is the stations' bounding box plus 2r per side (``default_search_region``).
     """
 
     min_distance: float
-    region: tuple | None = None
     coarse_grid_step: float = 25.0
 
     def __post_init__(self):
@@ -76,16 +75,6 @@ class SearchConfig:
             raise SearchError("min_distance must be positive and finite")
         if not 0.0 < self.coarse_grid_step < np.inf:
             raise SearchError("coarse_grid_step must be positive and finite")
-        if self.region is not None:
-            try:
-                xmin, xmax, ymin, ymax = (float(v) for v in self.region)
-            except (TypeError, ValueError) as exc:
-                raise SearchError("region must be four numbers (xmin, xmax, ymin, ymax)") from exc
-            if not all(map(math.isfinite, (xmin, xmax, ymin, ymax))):
-                raise SearchError("region bounds must be finite")
-            if not (xmin <= xmax and ymin <= ymax):
-                raise SearchError("region must satisfy xmin <= xmax and ymin <= ymax")
-            _coarse_shape((xmin, xmax, ymin, ymax), self.coarse_grid_step)
 
 
 def default_search_region(geometry: NetworkGeometry, min_distance: float) -> tuple:
@@ -98,6 +87,14 @@ def default_search_region(geometry: NetworkGeometry, min_distance: float) -> tup
 def _padded_box(bs: np.ndarray, pad: float) -> tuple:
     (x0, y0), (x1, y1) = bs.min(axis=0).tolist(), bs.max(axis=0).tolist()
     return (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
+
+
+def _claim_distance(point, claimed) -> float:
+    """|point - claimed| as the search's feasibility test computes it,
+    sqrt(dx*dx + dy*dy); the point is feasible when this is >= r.  math.dist
+    and math.hypot round differently, by one ulp on some circle points."""
+    dx, dy = point[0] - claimed[0], point[1] - claimed[1]
+    return math.sqrt(dx * dx + dy * dy)
 
 
 def _coarse_shape(region, step: float) -> tuple:
@@ -114,7 +111,7 @@ def _coarse_shape(region, step: float) -> tuple:
     if nx * ny > _MAX_GRID_POINTS:
         raise SearchError(
             f"coarse grid would hold {nx * ny:,} points, above the cap of "
-            f"{_MAX_GRID_POINTS:,}; raise coarse_grid_step or shrink the region"
+            f"{_MAX_GRID_POINTS:,}; raise coarse_grid_step or lower min_distance"
         )
     return nx, ny
 
@@ -264,8 +261,9 @@ def optimize_true_location(
     ``objective`` is "rss" (boost-minimized RSS KL) or "drss", or a tuple of
     them; the objectives of a tuple share every round of one search, and the
     result is a tuple of their results in the same order.  Each objective is
-    scored by its own public KL function.  Coarse uniform grid over the
-    region excluding the open min-distance disc, then ``_REFINE_PASSES``
+    scored by its own public KL function.  Coarse uniform grid over each
+    row's ``default_search_region`` excluding the open min-distance disc
+    (the test of ``_claim_distance``), then ``_REFINE_PASSES``
     local refinement passes around the incumbent, each with
     ``_REFINE_SHRINK`` times the previous half-width.
 
@@ -285,10 +283,7 @@ def optimize_true_location(
     configs = (config,) if isinstance(config, SearchConfig) else tuple(config)
     if len(configs) != len(bs):
         raise SearchError(f"{len(bs)} geometries need as many search configs, got {len(configs)}")
-    regions = [
-        c.region if c.region is not None else _padded_box(b, 2.0 * c.min_distance)
-        for c, b in zip(configs, bs)
-    ]
+    regions = [_padded_box(b, 2.0 * c.min_distance) for c, b in zip(configs, bs)]
     shapes = [_coarse_shape(reg, c.coarse_grid_step) for reg, c in zip(regions, configs)]
 
     def rows(chunk):
@@ -369,12 +364,12 @@ def _search_rows(objectives, configs, regions, geometry, model, start=None, refi
         # out (rows, nx, ny, 2): the tensor grid of each row's first nx x
         # axis values and first ny y axis values, axes (rows, n, 2) with
         # n >= nx, ny, in (x, y)-lexicographic order.  Returns its
-        # feasibility mask (rows, nx, ny): outside the open disc, with
-        # sqrt(dx*dx + dy*dy) bit-identical to np.linalg.norm, and not
-        # exactly on a base station (undefined path loss).  ex*ex + ey*ey > 0
-        # fails only where both squares are 0, so the station test splits
-        # into per-axis hits.  NaN coordinates fail every comparison, so they
-        # are never feasible.
+        # feasibility mask (rows, nx, ny): outside the open disc, by
+        # _claim_distance's arithmetic (np.linalg.norm's along an axis, bit
+        # for bit), and not exactly on a base station (undefined path loss).
+        # ex*ex + ey*ey > 0 fails only where both squares are 0, so the
+        # station test splits into per-axis hits.  NaN coordinates fail every
+        # comparison, so they are never feasible.
         nx, ny = out.shape[1:3]
         out[..., 0] = axes[:, :nx, None, 0]
         out[..., 1] = axes[:, None, :ny, 1]
@@ -419,7 +414,8 @@ def _search_rows(objectives, configs, regions, geometry, model, start=None, refi
     # then the incumbent, which stays feasible, in one reused buffer.  Its
     # axes (rows, 9, 2) are np.linspace(incumbent - half, incumbent + half,
     # 9), built with the same arithmetic row by row, then clipped to the
-    # region.
+    # box.  The spacing underflows to 0 only for half near 1e-323, which the
+    # grid cap rules out, so np.linspace's branch for that case is not needed.
     n = _LOCAL_GRID
     local = np.empty((n_rows, n * n + 1, 2))
     local_grid = local[:, :-1].reshape(n_rows, n, n, 2)
@@ -432,10 +428,6 @@ def _search_rows(objectives, configs, regions, geometry, model, start=None, refi
         spacing = (stop - low) / (n - 1)
         axes = ticks * spacing
         axes += low
-        if np.count_nonzero(spacing) < spacing.size:
-            # np.linspace's branch for a row with a zero (denormal) spacing
-            flat = (spacing == 0.0).any(axis=(1, 2))
-            axes[flat] = ticks / (n - 1) * (stop - low)[flat] + low[flat]
         axes[:, -1:] = stop
         np.maximum(axes, lo, out=axes)
         np.minimum(axes, hi, out=axes)

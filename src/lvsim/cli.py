@@ -78,7 +78,6 @@ _KEYS = {
     "thresholds": ("scenario", "thresholds", _numbers()),
     "mc_trials": ("scenario", "mc_trials", _number(int)),
     "mc_seed": ("scenario", "mc_seed", _number(int)),
-    "region": ("scenario", "region", _numbers(4)),
     "coarse_grid_step": ("scenario", "coarse_grid_step", _number(float)),
     "dc_values": ("scenario", "dc_values", _numbers()),
     "r_values": ("scenario", "r_values", _numbers()),

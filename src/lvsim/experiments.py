@@ -18,6 +18,8 @@ from .adversary import (
     AttackStrategy,
     SearchConfig,
     SearchError,
+    _claim_distance,
+    _coarse_shape,
     default_search_region,
     kl_drss,
     kl_rss,
@@ -115,8 +117,9 @@ class AttackPolicy:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One complete experiment configuration; ``min_distance``, ``region`` and
-    ``coarse_grid_step`` are the settings of its attacker search."""
+    """One complete experiment configuration; ``min_distance`` and
+    ``coarse_grid_step`` are the settings of its attacker search, whose box for
+    ``min_distance`` and for each ``r_values`` entry is checked when built."""
 
     name: str
     geometry: NetworkGeometry
@@ -128,7 +131,6 @@ class Scenario:
     thresholds: tuple | None = None
     mc_trials: int = 100_000
     mc_seed: int = 1
-    region: tuple | None = None
     coarse_grid_step: float = SearchConfig.coarse_grid_step
     dc_values: tuple | None = None
     r_values: tuple | None = None
@@ -142,8 +144,6 @@ class Scenario:
             )
         if not all(0.0 <= dc < math.inf for dc in self.dc_values or ()):
             raise ScenarioError(f"dc_values must be nonnegative and finite, got {self.dc_values!r}")
-        if not all(0.0 < r < math.inf for r in self.r_values or ()):
-            raise ScenarioError(f"r_values must be positive and finite, got {self.r_values!r}")
         if self.thresholds is not None and (
             len(self.thresholds) < 2 or any(map(math.isnan, self.thresholds))
         ):
@@ -158,24 +158,28 @@ class Scenario:
             raise ScenarioError(f"mc_seed must be a nonnegative integer, got {self.mc_seed!r}")
         for mode in self.modes:
             _check_mode(mode)
-        try:
-            self.search_config()
-        except SearchError as exc:
-            raise ScenarioError(f"invalid search configuration: {exc}") from None
+        radii = [("min_distance", self.min_distance)]
+        radii += [("r_values entry", r) for r in self.r_values or ()]
+        for key, r in radii:
+            try:
+                SearchConfig(r, self.coarse_grid_step)
+                _coarse_shape(default_search_region(self.geometry, r), self.coarse_grid_step)
+            except SearchError as exc:
+                raise ScenarioError(f"invalid search configuration: {key} {r!r}: {exc}") from None
         if (loc := self.attack.true_location) is not None:
             try:
                 _finite_mean(self.geometry, loc)
             except GeometryError as exc:
                 raise ScenarioError(f"{exc}: {loc}") from None
-            d = math.dist(loc, tuple(self.geometry.claimed_location))
+            d = _claim_distance(loc, self.geometry.claimed_location.tolist())
             if d < self.min_distance:
                 raise ScenarioError(
-                    f"location {loc} lies {d:.6g} m from the claimed location, "
+                    f"location {loc} lies {d!r} m from the claimed location, "
                     f"inside the {self.min_distance:.6g} m minimum-distance disc"
                 )
 
     def search_config(self) -> SearchConfig:
-        return SearchConfig(self.min_distance, self.region, self.coarse_grid_step)
+        return SearchConfig(self.min_distance, self.coarse_grid_step)
 
     def shadowing(self, correlation_distance: float | None = None) -> ShadowingModel:
         dc = self.correlation_distance if correlation_distance is None else correlation_distance
@@ -299,14 +303,14 @@ def optimal_auc(scenario: Scenario) -> tuple:
 
     Every point is one row of a geometry stack, searched in one call and
     scored by one spec stack: a D_c row with its own model, an r row with its
-    own config, whose search region is re-derived from r.
+    own config, whose search box follows from r.
     """
     cfg = scenario.search_config()
     rows = [
         ("correlation_distance", dc, scenario.shadowing(dc), cfg) for dc in scenario.dc_values or ()
     ]
     rows += [
-        ("min_distance", r, scenario.shadowing(), replace(cfg, min_distance=r, region=None))
+        ("min_distance", r, scenario.shadowing(), replace(cfg, min_distance=r))
         for r in scenario.r_values or ()
     ]
     if not rows:
@@ -579,9 +583,8 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
         # Both location searches land in the same refined cell.
         configs = []
         for g, r in zip(geometries, radii):
-            region = default_search_region(g, r)
-            step = max(region[1] - region[0], region[3] - region[2]) / 25.0
-            configs.append(SearchConfig(min_distance=r, region=region, coarse_grid_step=step))
+            x0, x1, y0, y1 = default_search_region(g, r)
+            configs.append(SearchConfig(r, coarse_grid_step=max(x1 - x0, y1 - y0) / 25.0))
             optimizer_tol = max(optimizer_tol, math.sqrt(2.0) * refined_grid_cell(configs[-1]))
         best_rss, best_drss = optimize_true_location(("rss", "drss"), configs, geometry, model)
         for a, b in zip(best_rss, best_drss):

@@ -34,6 +34,15 @@ def boost_oracle(x_t, geometry, model):
     return res.x
 
 
+def boxed_geometry(region, r):
+    """Three stations whose default search box for radius ``r`` is ``region``:
+    corners of ``region`` shrunk by 2r per side."""
+    xmin, xmax, ymin, ymax = region
+    pad = 2.0 * r
+    corners = [[xmin + pad, ymin + pad], [xmax - pad, ymax - pad], [xmin + pad, ymax - pad]]
+    return make_geometry(corners)
+
+
 class TestOptimalPowerBoost:
     def test_zero_when_location_matches_claim(self, fig1_geometry, fig1_model):
         u = mean_vector(fig1_geometry, CLAIMED)
@@ -242,10 +251,15 @@ class TestLocationSearch:
             kls.append(optimize_true_location("rss", cfg, fig3_geometry, fig3_model).kl_nats)
         assert kls[0] >= kls[1] >= kls[2]
 
-    def test_empty_feasible_region_raises(self, fig3_geometry, fig3_model):
-        cfg = SearchConfig(min_distance=100.0, region=(49.0, 51.0, 4.0, 6.0))
-        with pytest.raises(SearchError):
-            optimize_true_location("rss", cfg, fig3_geometry, fig3_model)
+    def test_empty_feasible_region_raises(self):
+        # a coarse step wider than the box (49, 500, 4, 500) leaves one node,
+        # (49, 4), which lies inside the disc around the claim (50, 5)
+        geometry = make_geometry([[249.0, 204.0], [300.0, 260.0], [260.0, 300.0]])
+        model = build_covariance(geometry, 5.0, 50.0)
+        assert default_search_region(geometry, 100.0) == (49.0, 500.0, 4.0, 500.0)
+        cfg = SearchConfig(min_distance=100.0, coarse_grid_step=1000.0)
+        with pytest.raises(SearchError, match="feasible region is empty"):
+            optimize_true_location("rss", cfg, geometry, model)
 
     def test_config_validation(self):
         with pytest.raises(SearchError):
@@ -263,9 +277,7 @@ class TestLocationSearch:
 
     def test_refinement_schedule_is_fixed(self):
         # six passes, each halving the half-width, are constants of the search
-        assert [f.name for f in fields(SearchConfig)] == [
-            "min_distance", "region", "coarse_grid_step"
-        ]
+        assert [f.name for f in fields(SearchConfig)] == ["min_distance", "coarse_grid_step"]
         assert refined_grid_cell(SearchConfig(min_distance=100.0)) == 0.1953125
         assert refined_grid_cell(SearchConfig(min_distance=100.0, coarse_grid_step=8.0)) == 0.0625
 
@@ -278,48 +290,29 @@ class TestLocationSearch:
         with pytest.raises(SearchError, match="coarse_grid_step"):
             SearchConfig(min_distance=1.0, coarse_grid_step=math.nan)
 
-    @pytest.mark.parametrize(
-        "region",
-        [
-            (0.0, math.nan, 0.0, 100.0),
-            (0.0, 100.0, -math.inf, 100.0),
-            (math.inf, math.inf, 0.0, 0.0),
-        ],
-    )
-    def test_non_finite_region_rejected(self, region):
-        with pytest.raises(SearchError, match="finite"):
-            SearchConfig(min_distance=1.0, region=region)
-
-    @pytest.mark.parametrize("region", [(100.0, 0.0, 0.0, 100.0), (0.0, 100.0, 1.0, 0.0)])
-    def test_inverted_region_rejected(self, region):
-        with pytest.raises(SearchError, match="xmin <= xmax"):
-            SearchConfig(min_distance=1.0, region=region)
-
-    @pytest.mark.parametrize(
-        "region", [(0.0, 100.0, 0.0), (0.0, 1.0, 0.0, 1.0, 2.0), ("a", 1, 0, 1), 5.0]
-    )
-    def test_malformed_region_rejected(self, region):
-        with pytest.raises(SearchError, match="four numbers"):
-            SearchConfig(min_distance=1.0, region=region)
+    def test_search_box_is_not_a_setting(self):
+        # the box follows from the stations and r alone
+        with pytest.raises(TypeError, match="region"):
+            SearchConfig(1.0, region=(0.0, 100.0, 0.0, 100.0))
 
     def test_infinite_grid_step_rejected(self):
         with pytest.raises(SearchError, match="coarse_grid_step"):
             SearchConfig(min_distance=1.0, coarse_grid_step=math.inf)
 
     def test_huge_coarse_grid_rejected_without_allocating(self):
+        geometry = boxed_geometry((0.0, 100.0, 0.0, 100.0), 1.0)
+        model = build_covariance(geometry, 5.0, 50.0)
+        cfg = SearchConfig(min_distance=1.0, coarse_grid_step=1e-4)
         tracemalloc.start()
         try:
             with pytest.raises(SearchError, match="1,000,002,000,001 points"):
-                SearchConfig(
-                    min_distance=1.0, region=(0.0, 100.0, 0.0, 100.0), coarse_grid_step=1e-4
-                )
+                optimize_true_location("rss", cfg, geometry, model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
 
     def test_huge_derived_grid_rejected_without_allocating(self, fig3_geometry, fig3_model):
-        # without a region the grid size is only known once the geometry is
         cfg = SearchConfig(min_distance=100.0, coarse_grid_step=1e-3)
         tracemalloc.start()
         try:
@@ -330,58 +323,72 @@ class TestLocationSearch:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_elongated_grid_at_the_cap_holds_only_its_nodes(self, fig3_geometry, fig3_model):
+    def test_elongated_grid_at_the_cap_holds_only_its_nodes(self):
         # 1,000,000 x 1 nodes: padding the grid to the square of its longer
-        # axis would ask for 10^12 nodes
-        cfg = SearchConfig(
-            min_distance=100.0, region=(0.0, 999999.0, 0.0, 0.0), coarse_grid_step=1.0
-        )
+        # axis would ask for 10^12 nodes.  Stations on y = 200 give the box
+        # (0, 799999200, 0, 400), whose y side is below half the 800 m step
+        geometry = make_geometry([[200.0, 200.0], [400000.0, 200.0], [799999000.0, 200.0]])
+        model = build_covariance(geometry, 5.0, 50.0)
+        cfg = SearchConfig(min_distance=100.0, coarse_grid_step=800.0)
+        box = default_search_region(geometry, 100.0)
+        assert adversary._coarse_shape(box, 800.0) == (1_000_000, 1)
         tracemalloc.start()
         try:
-            strat = optimize_true_location("drss", cfg, fig3_geometry, fig3_model)
+            strat = optimize_true_location("drss", cfg, geometry, model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert strat.true_location[1] == 0.0 and strat.true_location[0] >= 150.0
+        x, y = strat.true_location
+        assert box[0] <= x <= box[1] and box[2] <= y <= box[3]
+        assert math.dist((x, y), CLAIMED) >= 100.0
         # the grid and the KL call's temporaries take about 170 bytes a node
         assert peak < 256 * 1_000_000
 
-    def test_stack_of_crossed_elongated_grids_is_chunked(self, fig3_geometry, fig3_model):
+    def test_stack_of_crossed_elongated_grids_is_chunked(self):
         # a row long in x beside a row long in y pads to 2 x 2000 x 2000
-        # nodes, far above the chunk cap: each row is searched on its own
-        configs = [
-            SearchConfig(min_distance=100.0, region=(0.0, 1999.0, 0.0, 0.0), coarse_grid_step=1.0),
-            SearchConfig(
-                min_distance=100.0, region=(150.0, 150.0, 0.0, 1999.0), coarse_grid_step=1.0
-            ),
+        # nodes, far above the chunk cap: each row is searched on its own.
+        # At an 800 m step, stations on y = 200 give 2000 x 1 nodes and
+        # stations on x = 350 give 1 x 2000
+        rows = [
+            make_geometry([[200.0, 200.0], [800000.0, 200.0], [1599000.0, 200.0]]),
+            make_geometry([[350.0, 200.0], [350.0, 800000.0], [350.0, 1599000.0]]),
         ]
-        geometry = NetworkGeometry.stack([fig3_geometry] * 2)
-        model = ShadowingModel.stack([fig3_model] * 2)
+        models = [build_covariance(g, 5.0, 50.0) for g in rows]
+        cfg = SearchConfig(min_distance=100.0, coarse_grid_step=800.0)
+        shapes = [adversary._coarse_shape(default_search_region(g, 100.0), 800.0) for g in rows]
+        assert shapes == [(2000, 1), (1, 2000)]
+        geometry = NetworkGeometry.stack(rows)
+        model = ShadowingModel.stack(models)
         tracemalloc.start()
         try:
-            rows = optimize_true_location("drss", configs, geometry, model)
+            found = optimize_true_location("drss", [cfg] * 2, geometry, model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16_000_000
-        assert rows == tuple(
-            optimize_true_location("drss", c, fig3_geometry, fig3_model) for c in configs
+        assert found == tuple(
+            optimize_true_location("drss", cfg, g, m) for g, m in zip(rows, models)
         )
 
     def test_grid_at_the_cap_is_accepted(self):
         # 1000 x 1000 nodes: exactly the cap
-        SearchConfig(min_distance=1.0, region=(0.0, 999.0, 0.0, 999.0), coarse_grid_step=1.0)
+        at_cap = boxed_geometry((0.0, 999.0, 0.0, 999.0), 1.0)
+        assert adversary._coarse_shape(default_search_region(at_cap, 1.0), 1.0) == (1000, 1000)
+        over = boxed_geometry((0.0, 1000.0, 0.0, 999.0), 1.0)
+        cfg = SearchConfig(min_distance=1.0, coarse_grid_step=1.0)
         with pytest.raises(SearchError, match="1,001,000 points"):
-            SearchConfig(min_distance=1.0, region=(0.0, 1000.0, 0.0, 999.0), coarse_grid_step=1.0)
+            optimize_true_location("rss", cfg, over, build_covariance(over, 5.0, 50.0))
 
 
 class TestSearchEdges:
     """Grid nodes that land exactly on a station or on the exclusion circle."""
 
     def test_station_on_coarse_node_is_skipped(self):
-        geometry = make_geometry([[-250.0, 10.0], [0.0, 0.0], [250.0, 10.0]])
+        # the station (0, 0) lies 50.25 m from the claim, outside the 50 m disc
+        geometry = make_geometry([[-200.0, 0.0], [0.0, 0.0], [200.0, 0.0]])
         model = build_covariance(geometry, 7.5, 50.0)
-        cfg = SearchConfig(min_distance=100.0, region=(-300.0, 300.0, -100.0, 100.0))
+        cfg = SearchConfig(min_distance=50.0)
+        assert default_search_region(geometry, 50.0) == (-300.0, 300.0, -100.0, 100.0)
         assert 0.0 in np.arange(-300.0, 312.5, 25.0) and 0.0 in np.arange(-100.0, 112.5, 25.0)
         for objective in ("rss", "drss"):
             strat = optimize_true_location(objective, cfg, geometry, model)
@@ -392,11 +399,7 @@ class TestSearchEdges:
         # coarse nodes are multiples of 200 m, so the first refinement pass
         # (spacing 50 m, +-200 m around the coarse optimum) has nodes on every
         # multiple of 50 m nearby, including the station at (0, -50)
-        geometry = make_geometry([[-250.0, 0.0], [0.0, -50.0], [250.0, 50.0]], claimed=[50.0, 0.0])
-        model = build_covariance(geometry, 6.0, 50.0)
-        cfg = SearchConfig(
-            min_distance=100.0, region=(-400.0, 400.0, -400.0, 400.0), coarse_grid_step=200.0
-        )
+        geometry, model, cfg = refinement_node_case()
         for objective in ("rss", "drss"):
             with monkeypatch.context() as patch:
                 patch.setattr(adversary, "_REFINE_PASSES", 0)
@@ -407,13 +410,19 @@ class TestSearchEdges:
             strat = optimize_true_location(objective, cfg, geometry, model)
             assert math.isfinite(strat.kl_nats)
 
-    @pytest.mark.parametrize("region", [(150.0, 150.0, 5.0, 5.0), (50.0, 150.0, 5.0, 5.0)])
-    def test_point_on_exclusion_circle_stays_feasible(self, fig1_geometry, fig1_model, region):
-        # (150, 5) is exactly r = 100 m from the claim (50, 5) and is the only
-        # grid node outside the open disc, in the coarse grid and every pass
-        cfg = SearchConfig(min_distance=100.0, region=region)
+    @pytest.mark.parametrize("region", [(150.0, 650.0, 5.0, 505.0), (150.0, 900.0, 5.0, 605.0)])
+    def test_point_on_exclusion_circle_stays_feasible(self, region):
+        # the box's corner (150, 5) is exactly r = 100 m from the claim
+        # (50, 5), and the rest of the box lies farther out.  A coarse step
+        # wider than the box makes that corner the single coarse node (an
+        # infeasible boundary would leave the grid empty), and it stays the
+        # incumbent through every pass
+        geometry = boxed_geometry(region, 100.0)
+        model = build_covariance(geometry, 7.5, 50.0)
+        assert default_search_region(geometry, 100.0) == region
+        cfg = SearchConfig(min_distance=100.0, coarse_grid_step=4.0 * (region[1] - region[0]))
         for objective in ("rss", "drss"):
-            strat = optimize_true_location(objective, cfg, fig1_geometry, fig1_model)
+            strat = optimize_true_location(objective, cfg, geometry, model)
             assert strat.true_location == (150.0, 5.0)
             assert math.dist(strat.true_location, CLAIMED) == 100.0
 
@@ -438,8 +447,20 @@ def recorded_search(objective, config, geometry, model, monkeypatch):
     return strat, calls
 
 
-def coarse_nodes(config):
-    xmin, xmax, ymin, ymax = config.region
+def refinement_node_case():
+    """A geometry whose first refinement pass puts a node on the station
+    (0, -50): its box is (-400, 400, -400, 400) at r = 100, and the coarse
+    nodes are multiples of 200 m."""
+    geometry = make_geometry(
+        [[-200.0, -200.0], [0.0, -50.0], [200.0, 200.0]], claimed=[50.0, 0.0]
+    )
+    assert default_search_region(geometry, 100.0) == (-400.0, 400.0, -400.0, 400.0)
+    model = build_covariance(geometry, 6.0, 50.0)
+    return geometry, model, SearchConfig(min_distance=100.0, coarse_grid_step=200.0)
+
+
+def coarse_nodes(config, geometry):
+    xmin, xmax, ymin, ymax = default_search_region(geometry, config.min_distance)
     step = config.coarse_grid_step
     xs = np.arange(xmin, xmax + 0.5 * step, step)
     ys = np.arange(ymin, ymax + 0.5 * step, step)
@@ -450,17 +471,19 @@ class TestSeparableFeasibility:
     """Station exclusion tested per axis: a node is dropped only when both
     its coordinates coincide with one station's in floating point."""
 
-    CFG = SearchConfig(min_distance=100.0, region=(-300.0, 300.0, -100.0, 100.0))
+    # stations within x in [-210, 210] and y in [-10, 10] give the box
+    # (-300, 300, -100, 100) at r = 45: coarse nodes on multiples of 25 m
+    CFG = SearchConfig(min_distance=45.0)
 
     @pytest.mark.parametrize(
         "station",
-        [(0.0, 10.0), (-12.5, 50.0)],
+        [(0.0, 10.0), (-12.5, 0.0)],
         ids=["shares-x-column", "shares-y-row"],
     )
     def test_station_on_one_axis_excludes_no_node(self, station, monkeypatch):
-        geometry = make_geometry([[-250.0, 10.0], list(station), [250.0, -10.0]])
+        geometry = make_geometry([[-210.0, 10.0], list(station), [210.0, -10.0]])
         model = build_covariance(geometry, 7.5, 50.0)
-        nodes = coarse_nodes(self.CFG)
+        nodes = coarse_nodes(self.CFG, geometry)
         assert np.any(nodes[:, 0] == station[0]) != np.any(nodes[:, 1] == station[1])
         outside = nodes[np.linalg.norm(nodes - CLAIMED, axis=-1) >= self.CFG.min_distance]
         monkeypatch.setattr(adversary, "_REFINE_PASSES", 0)
@@ -472,10 +495,10 @@ class TestSeparableFeasibility:
         # 1e-170 squared underflows to 0, so the node (-200, 0) counts as
         # lying on the station; scoring it would raise GeometryError in
         # mean_vector
-        geometry = make_geometry([[-250.0, 10.0], [-200.0, 1e-170], [250.0, 10.0]])
+        geometry = make_geometry([[-210.0, 10.0], [-200.0, 1e-170], [210.0, -10.0]])
         model = build_covariance(geometry, 7.5, 50.0)
         assert (0.0 - 1e-170) ** 2 == 0.0
-        nodes = coarse_nodes(self.CFG)
+        nodes = coarse_nodes(self.CFG, geometry)
         outside = nodes[np.linalg.norm(nodes - CLAIMED, axis=-1) >= self.CFG.min_distance]
         want = outside[np.any(outside != (-200.0, 0.0), axis=1)]
         assert len(want) == len(outside) - 1
@@ -492,11 +515,7 @@ class TestSeparableFeasibility:
         # the geometry of TestSearchEdges: the first refinement pass has a
         # node on the station at (0, -50)
         station = (0.0, -50.0)
-        geometry = make_geometry([[-250.0, 0.0], list(station), [250.0, 50.0]], claimed=[50.0, 0.0])
-        model = build_covariance(geometry, 6.0, 50.0)
-        cfg = SearchConfig(
-            min_distance=100.0, region=(-400.0, 400.0, -400.0, 400.0), coarse_grid_step=200.0
-        )
+        geometry, model, cfg = refinement_node_case()
         passes = adversary._REFINE_PASSES
         for objective in ("rss", "drss"):
             strat, calls = recorded_search(objective, cfg, geometry, model, monkeypatch)

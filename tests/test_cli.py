@@ -76,8 +76,6 @@ def render(scenario):
     for key in ("thresholds", "dc_values", "r_values"):
         if getattr(scenario, key) is not None:
             lines.append(f"{key} = {nums(getattr(scenario, key))}")
-    if scenario.region is not None:
-        lines.append(f"region = {nums(scenario.region)}")
     lines.append(f"coarse_grid_step = {scenario.coarse_grid_step!r}")
     return "\n".join(lines) + "\n"
 
@@ -90,7 +88,6 @@ ROUND_TRIP = builtin_scenarios() + [
         modes=("drss",),
         thresholds=(-1.0, 0.0, 1.5),
         mc_trials=5000,
-        region=(-400.0, 500.0, -300.0, 300.0),
         coarse_grid_step=10.0,
     )
 ]
@@ -103,7 +100,7 @@ VERIFY_DEFAULTS = {
 NUMERIC_KEYS = [
     "bs", "claimed", "ref_power_db", "ref_distance_m", "path_loss_exponent", "sigma_db",
     "correlation_distance", "min_distance", "true_location", "power_boost_db", "thresholds",
-    "mc_trials", "mc_seed", "region", "coarse_grid_step", "dc_values", "r_values",
+    "mc_trials", "mc_seed", "coarse_grid_step", "dc_values", "r_values",
 ]
 
 
@@ -131,7 +128,7 @@ class TestScenarioFile:
             parse_scenario_file(path)
 
     def test_search_key_without_min_distance_is_a_missing_key(self, tmp_path):
-        text = FIG1_FILE.replace("min_distance = 500\n", "") + "region = 0 100 0 100\n"
+        text = FIG1_FILE.replace("min_distance = 500\n", "") + "coarse_grid_step = 10\n"
         with pytest.raises(ScenarioFileError, match="missing required key 'min_distance'"):
             parse_scenario_file(write(tmp_path, text))
 
@@ -196,13 +193,14 @@ class TestScenarioFile:
     @pytest.mark.parametrize(
         "lines, message",
         [
-            ("region = 0 nan 0 100\n", "finite"),
-            ("region = 0 100 0 100\ncoarse_grid_step = 1e-4\n", "coarse grid would hold"),
+            ("coarse_grid_step = 1e-4\n", "min_distance 500.0: coarse grid would hold"),
+            ("r_values = 100 1e6\n", "r_values entry 1000000.0: coarse grid would hold"),
         ],
+        ids=["coarse-grid-step", "r-values"],
     )
     def test_bad_search_region_rejected(self, tmp_path, lines, message):
         prefix = "^invalid scenario: invalid search configuration: "
-        with pytest.raises(ScenarioFileError, match=f"{prefix}.*{message}"):
+        with pytest.raises(ScenarioFileError, match=f"{prefix}{message}"):
             parse_scenario_file(write(tmp_path, FIG1_FILE + lines))
 
 
@@ -289,7 +287,7 @@ class TestMain:
         assert "unknown key" in capsys.readouterr().err
 
     def test_search_key_without_min_distance_exits_one(self, tmp_path, capsys):
-        text = FIG1_FILE.replace("min_distance = 500\n", "") + "region = 0 100 0 100\n"
+        text = FIG1_FILE.replace("min_distance = 500\n", "") + "coarse_grid_step = 10\n"
         code = main(["attack", "--scenario", str(write(tmp_path, text))])
         assert code == 1
         assert "missing required key 'min_distance'" in capsys.readouterr().err
@@ -320,6 +318,26 @@ class TestMain:
         path = write(tmp_path, FIG1_FILE + "alt_location = 650 5\n")
         assert main(["attack", "--scenario", str(path)]) == 1
         assert f"line {line}: unknown key 'alt_location'" in capsys.readouterr().err
+
+    def test_region_is_not_a_key(self, tmp_path, capsys):
+        # the search box follows from the stations and min_distance alone
+        line = len(FIG1_FILE.splitlines()) + 1
+        path = write(tmp_path, FIG1_FILE + "region = -400 500 -300 300\n")
+        assert main(["attack", "--scenario", str(path)]) == 1
+        assert f"line {line}: unknown key 'region'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["roc", "mc"])
+    def test_oversized_sweep_box_exits_one_before_running(self, tmp_path, capsys, command):
+        # r = 1e6 pads fig1's stations to a box of 25,603,680,042 coarse nodes
+        text = FIG1_FILE + "r_values = 100 1e6\nmc_trials = 1000\n"
+        path = write(tmp_path, text)
+        assert main([command, "--scenario", str(path), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: invalid scenario: invalid search configuration: r_values entry 1000000.0: "
+            "coarse grid would hold 25,603,680,042 points"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_sigma_with_an_overflowing_square_exits_one(self, tmp_path, capsys):
         text = FIG1_FILE.replace("sigma_db = 7.5\n", "sigma_db = 1e200\n")

@@ -128,13 +128,12 @@ class TestRegistry:
         # one exclusion radius: the search's is the scenario's min_distance
         base = builtin_scenario("fig3")
         assert base.search_config() == SearchConfig(100.0)
-        region = (-400.0, 500.0, -300.0, 300.0)
-        searched = replace(base, region=region, coarse_grid_step=20.0)
-        assert searched.search_config() == SearchConfig(100.0, region, 20.0)
+        assert replace(base, coarse_grid_step=20.0).search_config() == SearchConfig(100.0, 20.0)
         with pytest.raises(
-            ScenarioError, match="^invalid search configuration: region must satisfy xmin <= xmax"
+            ScenarioError,
+            match="^invalid search configuration: min_distance 100.0: coarse grid would hold",
         ):
-            replace(base, region=(10.0, 0.0, 0.0, 10.0))
+            replace(base, coarse_grid_step=1e-3)
 
     @pytest.mark.parametrize(
         "attack",
@@ -179,6 +178,23 @@ class TestScenarioValues:
         with pytest.raises(ScenarioError, match="r_values"):
             replace(builtin_scenario("fig3"), r_values=bad)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                {"r_values": (100.0, 1e6)},
+                r"r_values entry 1000000\.0: coarse grid would hold 25,603,680,042 points",
+            ),
+            ({"min_distance": 1e6}, r"min_distance 1000000\.0: coarse grid would hold"),
+            ({"coarse_grid_step": 1.0}, r"min_distance 500\.0: coarse grid would hold"),
+        ],
+        ids=["r_values", "min_distance", "coarse_grid_step"],
+    )
+    def test_oversized_search_box(self, changes, message):
+        # every box a run searches is checked against the coarse-grid cap
+        with pytest.raises(ScenarioError, match=f"^invalid search configuration: {message}"):
+            replace(builtin_scenario("fig1"), mc_trials=1000, **changes)
+
     @pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0,), ()])
     def test_thresholds(self, bad):
         with pytest.raises(ScenarioError, match="thresholds"):
@@ -217,6 +233,47 @@ class TestScenarioValues:
     def test_fields_the_kind_ignores_rejected(self, kind, location, boost, field):
         with pytest.raises(ScenarioError, match=f"^attack kind '{kind}' takes no {field}$"):
             AttackPolicy(kind, location, boost)
+
+
+class TestExclusionCircle:
+    """A location on the circle |x - x_c| = r is judged by the search's
+    feasibility arithmetic, sqrt(dx*dx + dy*dy), which math.dist does not
+    always round alike."""
+
+    def test_point_the_search_puts_on_the_circle_accepted(self):
+        location = (424.4754137815784, 336.3127894801461)
+        assert math.dist(location, CLAIMED) < 500.0
+        attack = AttackPolicy("fixed-location", location)
+        assert replace(builtin_scenario("fig1"), attack=attack).attack.true_location == location
+
+    def test_point_the_search_puts_inside_the_disc_rejected(self):
+        location = (-412.4636208875894, -185.07208989101994)
+        assert math.dist(location, CLAIMED) == 500.0
+        attack = AttackPolicy("fixed-location", location)
+        with pytest.raises(
+            ScenarioError, match=r"lies 499\.99999999999994 m from the claimed location, inside"
+        ):
+            replace(builtin_scenario("fig1"), attack=attack)
+
+    def test_agrees_with_the_search_on_circle_points(self):
+        rng = np.random.default_rng(19)
+        radii = rng.choice([100.0, 250.0, 500.0], 10_000)
+        theta = rng.uniform(0.0, 2.0 * math.pi, 10_000)
+        points = CLAIMED + radii[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+        # the search's test, as the bitwise reference search computes it
+        feasible = np.linalg.norm(points - CLAIMED, axis=-1) >= radii
+        split = 0
+        base = builtin_scenario("fig1")
+        for (x, y), r, want in zip(points.tolist(), radii.tolist(), feasible.tolist()):
+            split += (math.dist((x, y), CLAIMED) >= r) != want
+            attack = AttackPolicy("fixed-location", (x, y))
+            try:
+                replace(base, min_distance=r, attack=attack)
+            except ScenarioError:
+                assert not want, (x, y, r)
+            else:
+                assert want, (x, y, r)
+        assert split > 0  # math.dist would judge some of these points otherwise
 
 
 class TestResolveAttack:
@@ -360,9 +417,7 @@ class TestSweepStage:
         points += [("min_distance", r) for r in scenario.r_values or ()]
         assert [row[:2] for row in rows] == points
         for parameter, value, auc in rows:
-            # a scenario without a region re-derives it from r
             point = replace(scenario, **{parameter: value})
-            assert point.region is None
             assert auc == roc_stage(point, "rss", point.shadowing())[2].auc
 
     def test_no_sweep_values_give_no_rows(self):
