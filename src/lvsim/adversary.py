@@ -97,11 +97,15 @@ def _claim_distance(point, claimed) -> float:
     return math.sqrt(dx * dx + dy * dy)
 
 
-def _coarse_shape(region, step: float) -> tuple:
+def _coarse_shape(region, step: float, radius: str = "min_distance") -> tuple:
     """(nx, ny) of the coarse grid, computed before anything is allocated.
 
     Uses ``np.arange``'s length, ceil((stop - start) / step), and raises
-    SearchError when nx * ny exceeds the point cap.
+    SearchError when nx * ny exceeds the point cap; its hint names
+    ``radius``, the setting the box's r came from.  The counts print as
+    floats, so the message stays short for any radius: the product prints in
+    full below 1e15 and reads inf where it overflows, and the axis counts
+    beside it still say how large the grid is.
     """
     xmin, xmax, ymin, ymax = region
     nx, ny = (
@@ -110,8 +114,9 @@ def _coarse_shape(region, step: float) -> tuple:
     )
     if nx * ny > _MAX_GRID_POINTS:
         raise SearchError(
-            f"coarse grid would hold {nx * ny:,} points, above the cap of "
-            f"{_MAX_GRID_POINTS:,}; raise coarse_grid_step or lower min_distance"
+            f"coarse grid would hold {float(nx) * ny:,.16g} points ({nx:,.7g} x "
+            f"{ny:,.7g}), above the cap of {_MAX_GRID_POINTS:,}; "
+            f"raise coarse_grid_step or lower the {radius}"
         )
     return nx, ny
 
@@ -195,14 +200,14 @@ def refined_grid_cell(config: SearchConfig) -> float:
     return spacing * _REFINE_SHRINK ** (_REFINE_PASSES - 1)
 
 
-def _argmin_rows(points: np.ndarray, values: np.ndarray, rows: np.ndarray):
+def _argmin_rows(points: np.ndarray, values: np.ndarray):
     """Each row's minimum value, ties within 1e-12 broken by lexicographic
     (x, y), then by position.
 
-    ``values`` is (rows, M), ``points`` (rows, M, 2) and ``rows`` is
-    ``np.arange(len(values))``; returns the winning points (rows, 2) and
-    values (rows,).
+    ``values`` is (rows, M) and ``points`` (rows, M, 2); returns the winning
+    points (rows, 2) and values (rows,).
     """
+    rows = np.arange(len(values))
     least = np.minimum.reduce(values, axis=1)
     hit = values <= (least + _TIE_EPS)[:, None]
     if np.count_nonzero(hit) == len(hit):  # one hit per row: its minimum
@@ -237,14 +242,14 @@ def _pack(points: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return kept[first[:, None] + np.where(j < counts[:, None], j, 0)]
 
 
-def _chunks(shapes, n_objectives: int):
+def _chunks(shapes):
     """Contiguous row slices holding at most _CHUNK_NODES padded coarse nodes
-    (objectives x rows x the chunk's longest x axis x its longest y axis),
-    one row at least.  ``shapes`` holds each row's coarse (nx, ny)."""
+    (rows x the chunk's longest x axis x its longest y axis), one row at
+    least.  ``shapes`` holds each row's coarse (nx, ny)."""
     start, wx, wy = 0, 0, 0
     for i, (nx, ny) in enumerate(shapes):
         wx, wy = max(wx, nx), max(wy, ny)
-        if i > start and n_objectives * (i + 1 - start) * wx * wy > _CHUNK_NODES:
+        if i > start and (i + 1 - start) * wx * wy > _CHUNK_NODES:
             yield slice(start, i)
             start, wx, wy = i, nx, ny
     yield slice(start, len(shapes))
@@ -259,25 +264,24 @@ def optimize_true_location(
     """Minimize the KL objective over feasible true locations.
 
     ``objective`` is "rss" (boost-minimized RSS KL) or "drss", or a tuple of
-    them; the objectives of a tuple share every round of one search, and the
-    result is a tuple of their results in the same order.  Each objective is
-    scored by its own public KL function.  Coarse uniform grid over each
-    row's ``default_search_region`` excluding the open min-distance disc
-    (the test of ``_claim_distance``), then ``_REFINE_PASSES``
-    local refinement passes around the incumbent, each with
-    ``_REFINE_SHRINK`` times the previous half-width.
+    them, which gives a tuple of results in the same order; each is scored
+    by its own public KL function.  One geometry takes one SearchConfig and
+    gives one AttackStrategy; a stack of T geometries takes T configs, one
+    per row, and gives a tuple of T strategies.
 
-    One geometry takes one SearchConfig and gives one AttackStrategy.  A
-    stack of T geometries takes a sequence of T configs, one per row, and
-    gives a tuple of T strategies.  Its coarse round runs in chunks of at
-    most ``_CHUNK_NODES`` padded coarse nodes; its refinement passes, which
-    score 82 points per row, run in chunks of
-    ``_CHUNK_NODES // (objectives * 82)`` rows, one at least.  A stack that
-    fits in one chunk of each is searched in one pass over both rounds.
+    The coarse stage scores a uniform grid over each row's
+    ``default_search_region`` less the open min-distance disc (the test of
+    ``_claim_distance``), in chunks of at most ``_CHUNK_NODES`` padded nodes
+    whose grid the objectives share.  The refinement stage then makes
+    ``_REFINE_PASSES`` local passes around each incumbent, each with
+    ``_REFINE_SHRINK`` times the previous half-width, in chunks of
+    ``_CHUNK_NODES // (objectives * 82)`` rows, one at least: a pass scores
+    82 points per row and objective.
     """
     objectives = (objective,) if isinstance(objective, str) else tuple(objective)
     if not objectives or any(o not in ("rss", "drss") for o in objectives):
         raise SearchError(f"unknown objective: {objective!r}")
+    kls = [kl_rss_minimized if o == "rss" else kl_drss for o in objectives]
     stacked = geometry.bs_positions.ndim == 3
     bs = geometry.bs_positions.reshape(-1, geometry.n_stations, 2)
     configs = (config,) if isinstance(config, SearchConfig) else tuple(config)
@@ -285,156 +289,135 @@ def optimize_true_location(
         raise SearchError(f"{len(bs)} geometries need as many search configs, got {len(configs)}")
     regions = [_padded_box(b, 2.0 * c.min_distance) for c, b in zip(configs, bs)]
     shapes = [_coarse_shape(reg, c.coarse_grid_step) for reg, c in zip(regions, configs)]
+    # per row: r, coarse step, xmin, xmax, ymin, ymax
+    setting = np.array(
+        [(c.min_distance, c.coarse_grid_step, *reg) for c, reg in zip(configs, regions)]
+    )
 
     def rows(chunk):
         if stacked and chunk != slice(0, len(bs)):
             return geometry.take(chunk), model.take(chunk)
         return geometry, model
 
-    coarse = list(_chunks(shapes, len(objectives)))
+    # each objective's incumbents and their values, row by row: the coarse
+    # stage writes them and the refinement stage updates them in place
+    incumbent = np.empty((len(objectives), len(bs), 2))
+    value = np.empty((len(objectives), len(bs)))
+    for c in _chunks(shapes):
+        _coarse(kls, setting[c], *rows(c), incumbent[:, c], value[:, c])
     width = max(1, _CHUNK_NODES // (len(objectives) * (_LOCAL_GRID * _LOCAL_GRID + 1)))
-    if len(coarse) == 1 and len(bs) <= width:
-        plan = [(slice(0, len(bs)), None)]
-    else:
-        # every row's coarse incumbent, then its refinement in other chunks
-        start = np.concatenate(
-            [
-                _search_rows(objectives, configs[c], regions[c], *rows(c), refine=False)[0]
-                for c in coarse
-            ],
-            axis=1,
-        )
-        plan = [
-            (slice(i, min(i + width, len(bs))), start[:, i : i + width])
-            for i in range(0, len(bs), width)
-        ]
-
     found = [[] for _ in objectives]
-    for chunk, begin in plan:
+    for i in range(0, len(bs), width):
+        chunk = slice(i, min(i + width, len(bs)))
         g, m = rows(chunk)
-        incumbent, value = _search_rows(objectives, configs[chunk], regions[chunk], g, m, begin)
+        at, best = incumbent[:, chunk], value[:, chunk]
+        _refine(kls, setting[chunk], g, m, at, best)
         for j, name in enumerate(objectives):
-            kls = value[j].tolist()
-            boosts = [0.0] * len(kls)
+            values = best[j].tolist()
+            boosts = [0.0] * len(values)
             if name == "rss":
-                at = incumbent[j] if stacked else incumbent[j, 0]
-                boost = optimal_power_boost(g.claimed_mean, mean_vector(g, at), m)
-                boosts = np.ravel(boost).tolist()
+                v = mean_vector(g, at[j] if stacked else at[j, 0])
+                boosts = np.ravel(optimal_power_boost(g.claimed_mean, v, m)).tolist()
             found[j] += [
-                AttackStrategy(tuple(x), b, kl, name == "rss")
-                for x, b, kl in zip(incumbent[j].tolist(), boosts, kls)
+                AttackStrategy(tuple(x), b, nats, name == "rss")
+                for x, b, nats in zip(at[j].tolist(), boosts, values)
             ]
     out = tuple(tuple(strategies) if stacked else strategies[0] for strategies in found)
     return out[0] if isinstance(objective, str) else out
 
 
-def _search_rows(objectives, configs, regions, geometry, model, start=None, refine=True):
-    """Grid-then-refine search of every objective on every row of one chunk.
+def _tensor_grid(axes, out, geometry, r):
+    """Fill ``out`` (..., R, nx, ny, 2) with the tensor grid of each row's
+    first nx x and first ny y values of ``axes`` (..., R, n, 2), in (x,
+    y)-lexicographic order; row t belongs to geometry t, with radius r[t].
 
-    Its rows are the (objective, geometry) pairs, objective-major: they share
-    each round's grid build, feasibility test and tie-break, and the points
-    each KL call scores are, row for row, those of a search on one geometry.
-    ``start`` (K, R, 2), the incumbents of an earlier coarse round, skips
-    the coarse round; ``refine=False`` skips the refinement passes.
-    Returns the incumbents (K, R, 2) and their values (K, R) for K
-    objectives and R geometries.
+    Returns its feasibility mask (..., R, nx, ny): outside the open disc, by
+    _claim_distance's arithmetic (np.linalg.norm's along an axis, bit for
+    bit), and not exactly on a base station (undefined path loss).  ex*ex +
+    ey*ey > 0 fails only where both squares are 0, so the station test splits
+    into per-axis hits.  NaN coordinates fail every comparison: never feasible.
     """
-    evaluate = {"rss": kl_rss_minimized, "drss": kl_drss}
+    nx, ny = out.shape[-3:-1]
+    out[..., 0] = axes[..., :nx, None, 0]
+    out[..., 1] = axes[..., None, :ny, 1]
+    d = axes - geometry.claimed_location[..., None, :]
+    d *= d
+    ok = np.sqrt(d[..., :nx, None, 0] + d[..., None, :ny, 1]) >= r
+    e = axes[..., None, :] - geometry.bs_positions[..., None, :, :]
+    on = e * e == 0.0
+    if on.any():  # most grids put no axis value on a station coordinate
+        for *row, station in zip(*on.any(axis=-3).all(axis=-1).nonzero()):
+            hit = on[(*row, slice(None), station)]
+            ok[tuple(row)][np.ix_(hit[:nx, 0], hit[:ny, 1])] = False
+    return ok
+
+
+def _best(kls, points, geometry, model, incumbent, value):
+    """Write each objective's winners among ``points`` into ``incumbent``
+    (K, R, 2) and ``value`` (K, R).  ``points`` is (R, M, 2), shared by the
+    K objectives, or (K, R, M, 2), one set each.  Each objective's KL
+    function scores its points in one call, (M, 2) for one geometry and
+    (R, M, 2) for a stack of R."""
     stacked = geometry.bs_positions.ndim == 3
-    k, n_geo = len(objectives), len(configs)
-    n_rows = k * n_geo
-    parts = [
-        (evaluate[name], slice(j * n_geo, (j + 1) * n_geo) if stacked else j)
-        for j, name in enumerate(objectives)
+    for j, kl in enumerate(kls):
+        pts = points if points.ndim == 3 else points[j]
+        values = kl(pts if stacked else pts[0], geometry, model)
+        incumbent[j], value[j] = _argmin_rows(pts, values.reshape(len(pts), -1))
+
+
+def _coarse(kls, setting, geometry, model, incumbent, value):
+    """The coarse stage on the R rows of one chunk: one grid, feasibility
+    test and pack that every objective shares.  Each row's grid is the
+    tensor grid of its np.arange axes, padded with NaN to the chunk's
+    longest x axis by its longest y axis.  Writes the K objectives'
+    incumbents (K, R, 2) and values (K, R)."""
+    lines = [
+        (np.arange(x0, x1 + 0.5 * s, s), np.arange(y0, y1 + 0.5 * s, s))
+        for _, s, x0, x1, y0, y1 in setting.tolist()
     ]
-    # per row: r, coarse step, xmin, xmax, ymin, ymax
-    setting = np.array(
-        [(c.min_distance, c.coarse_grid_step, *reg) for c, reg in zip(configs, regions)] * k,
-        dtype=float,
-    )
-    r, step = setting[:, 0, None, None], setting[:, 1]
-    lo, hi = setting[:, None, 2::2], setting[:, None, 3::2]
-    bs = geometry.bs_positions.reshape(n_geo, 1, -1, 2)
-    xc = geometry.claimed_location.reshape(n_geo, 1, 2)
-    if k > 1:
-        bs, xc = np.concatenate([bs] * k), np.concatenate([xc] * k)
-    rows = np.arange(n_rows)
+    nx, ny = (max(len(pair[i]) for pair in lines) for i in (0, 1))
+    axes = np.full((len(lines), max(nx, ny), 2), np.nan)
+    for t, (ax, ay) in enumerate(lines):
+        axes[t, : len(ax), 0] = ax
+        axes[t, : len(ay), 1] = ay
+    grid = np.empty((len(lines), nx, ny, 2))
+    mask = _tensor_grid(axes, grid, geometry, setting[:, 0, None, None])
+    points = _pack(grid.reshape(len(lines), -1, 2), mask.reshape(len(lines), -1))
+    _best(kls, points, geometry, model, incumbent, value)
 
-    def tensor_grid(axes, out):
-        # out (rows, nx, ny, 2): the tensor grid of each row's first nx x
-        # axis values and first ny y axis values, axes (rows, n, 2) with
-        # n >= nx, ny, in (x, y)-lexicographic order.  Returns its
-        # feasibility mask (rows, nx, ny): outside the open disc, by
-        # _claim_distance's arithmetic (np.linalg.norm's along an axis, bit
-        # for bit), and not exactly on a base station (undefined path loss).
-        # ex*ex + ey*ey > 0 fails only where both squares are 0, so the
-        # station test splits into per-axis hits.  NaN coordinates fail every
-        # comparison, so they are never feasible.
-        nx, ny = out.shape[1:3]
-        out[..., 0] = axes[:, :nx, None, 0]
-        out[..., 1] = axes[:, None, :ny, 1]
-        d = axes - xc
-        d *= d
-        ok = np.sqrt(d[:, :nx, None, 0] + d[:, None, :ny, 1]) >= r
-        e = axes[:, :, None, :] - bs
-        on = e * e == 0.0
-        for t, station in zip(*on.any(axis=1).all(axis=-1).nonzero()):
-            ok[t][np.ix_(on[t, :nx, station, 0], on[t, :ny, station, 1])] = False
-        return ok
 
-    def score(points):
-        # points (rows, M, 2) -> values (rows, M), one KL call per objective
-        values = [kl(points[part], geometry, model) for kl, part in parts]
-        return (values[0] if k == 1 else np.concatenate(values)).reshape(n_rows, -1)
+def _refine(kls, setting, geometry, model, incumbent, value):
+    """The refinement stage on the R rows of one chunk: ``_REFINE_PASSES``
+    passes from the K objectives' coarse incumbents (K, R, 2), updated in
+    place with their values (K, R).
 
-    if start is None:
-        # coarse grid: each row's np.arange axes, padded with NaN to the
-        # longest axis; the grid spans the longest x axis by the longest y axis
-        lines = [
-            (np.arange(x0, x1 + 0.5 * s, s), np.arange(y0, y1 + 0.5 * s, s))
-            for (x0, x1, y0, y1), s in zip(regions, (c.coarse_grid_step for c in configs))
-        ]
-        nx, ny = (max(len(pair[i]) for pair in lines) for i in (0, 1))
-        axes = np.full((n_geo, max(nx, ny), 2), np.nan)
-        for t, (ax, ay) in enumerate(lines):
-            axes[t, : len(ax), 0] = ax
-            axes[t, : len(ay), 1] = ay
-        if k > 1:
-            axes = np.concatenate([axes] * k)
-        grid = np.empty((n_rows, nx, ny, 2))
-        mask = tensor_grid(axes, grid)
-        pts = _pack(grid.reshape(n_rows, -1, 2), mask.reshape(n_rows, -1))
-        incumbent, value = _argmin_rows(pts, score(pts), rows)
-        if not refine:
-            return incumbent.reshape(k, n_geo, 2), value.reshape(k, n_geo)
-    else:
-        incumbent = start.reshape(n_rows, 2)
-
-    # each pass: per row, the 9x9 local grid in (x, y)-lexicographic order,
-    # then the incumbent, which stays feasible, in one reused buffer.  Its
-    # axes (rows, 9, 2) are np.linspace(incumbent - half, incumbent + half,
-    # 9), built with the same arithmetic row by row, then clipped to the
-    # box.  The spacing underflows to 0 only for half near 1e-323, which the
-    # grid cap rules out, so np.linspace's branch for that case is not needed.
+    Each pass scores, per objective and row, the 9x9 local grid in (x,
+    y)-lexicographic order, then the incumbent, which stays feasible.  Its
+    axes (K, R, 9, 2) are np.linspace(incumbent - half, incumbent + half, 9)
+    by the same arithmetic, clipped to the box.  The spacing underflows to 0
+    only for half near 1e-323, which the grid cap rules out, so
+    np.linspace's branch for that case is not needed.
+    """
     n = _LOCAL_GRID
-    local = np.empty((n_rows, n * n + 1, 2))
-    local_grid = local[:, :-1].reshape(n_rows, n, n, 2)
+    k, n_geo = value.shape
+    r, half = setting[:, 0, None, None], setting[:, 1, None, None]
+    lo, hi = setting[:, None, 2::2], setting[:, None, 3::2]
+    local = np.empty((k, n_geo, n * n + 1, 2))
+    local_grid = local[..., :-1, :].reshape(k, n_geo, n, n, 2)
     keep = np.ones(local.shape[:-1], dtype=bool)
+    rows = local.reshape(k * n_geo, -1, 2), keep.reshape(k * n_geo, -1)
     ticks = np.arange(n, dtype=float)[:, None]
-    half = step[:, None, None]
-    incumbent = incumbent[:, None]
     for _ in range(_REFINE_PASSES):
-        low, stop = incumbent - half, incumbent + half
+        at = incumbent[..., None, :]
+        low, stop = at - half, at + half
         spacing = (stop - low) / (n - 1)
         axes = ticks * spacing
         axes += low
-        axes[:, -1:] = stop
+        axes[..., -1:, :] = stop
         np.maximum(axes, lo, out=axes)
         np.minimum(axes, hi, out=axes)
-        keep[:, :-1] = tensor_grid(axes, local_grid).reshape(n_rows, -1)
-        local[:, -1:] = incumbent
-        cand = _pack(local, keep)
-        incumbent, value = _argmin_rows(cand, score(cand), rows)
-        incumbent = incumbent[:, None]
+        keep[..., :-1] = _tensor_grid(axes, local_grid, geometry, r).reshape(k, n_geo, -1)
+        local[..., -1:, :] = at
+        cand = _pack(*rows)
+        _best(kls, cand.reshape(k, n_geo, -1, 2), geometry, model, incumbent, value)
         half = half * _REFINE_SHRINK
-    return incumbent.reshape(k, n_geo, 2), value.reshape(k, n_geo)

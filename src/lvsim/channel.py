@@ -75,6 +75,8 @@ class NetworkGeometry:
         object.__setattr__(self, "claimed_location", xc)
         if bs.shape[-2] < 2:
             raise GeometryError("at least two base stations are required")
+        if not len(bs):  # one geometry has N >= 2 rows; a stack has T
+            raise GeometryError("a geometry stack needs at least one geometry")
         scalars = (self.ref_power_db, self.ref_distance_m, self.path_loss_exponent)
         if not (np.isfinite(bs).all() and np.isfinite(xc).all() and np.isfinite(scalars).all()):
             raise GeometryError("coordinates and path-loss parameters must be finite")
@@ -98,6 +100,8 @@ class NetworkGeometry:
     @classmethod
     def stack(cls, geometries) -> NetworkGeometry:
         """The stack of geometries that share N and the path-loss scalars."""
+        if not len(geometries):
+            raise GeometryError("a geometry stack needs at least one geometry")
         first = geometries[0]
         scalars = (first.ref_power_db, first.ref_distance_m, first.path_loss_exponent)
         for g in geometries:
@@ -171,6 +175,8 @@ class ShadowingModel:
     @classmethod
     def stack(cls, models) -> ShadowingModel:
         """The model stack of per-geometry models: every field, stacked."""
+        if not len(models):
+            raise CovarianceError("a model stack needs at least one model")
         return cls(**{f.name: np.array([getattr(m, f.name) for m in models]) for f in fields(cls)})
 
     def take(self, rows) -> ShadowingModel:

@@ -163,7 +163,7 @@ class Scenario:
         for key, r in radii:
             try:
                 SearchConfig(r, self.coarse_grid_step)
-                _coarse_shape(default_search_region(self.geometry, r), self.coarse_grid_step)
+                _coarse_shape(default_search_region(self.geometry, r), self.coarse_grid_step, key)
             except SearchError as exc:
                 raise ScenarioError(f"invalid search configuration: {key} {r!r}: {exc}") from None
         if (loc := self.attack.true_location) is not None:

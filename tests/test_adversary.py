@@ -410,6 +410,19 @@ class TestSearchEdges:
             strat = optimize_true_location(objective, cfg, geometry, model)
             assert math.isfinite(strat.kl_nats)
 
+    def test_station_nodes_in_a_two_objective_stack(self):
+        # the refinement case beside a row whose station (0, 0) is a coarse
+        # node: both objectives skip the stations of their own row in every
+        # stage, as each search on one geometry does
+        geometry, model, cfg = refinement_node_case()
+        other = make_geometry([[-200.0, 0.0], [0.0, 0.0], [200.0, 0.0]], claimed=[50.0, 0.0])
+        rows = [(geometry, model), (other, build_covariance(other, 7.5, 50.0))]
+        stack = NetworkGeometry.stack([g for g, _ in rows])
+        models = ShadowingModel.stack([m for _, m in rows])
+        both = optimize_true_location(("rss", "drss"), [cfg] * 2, stack, models)
+        for objective, found in zip(("rss", "drss"), both):
+            assert found == tuple(optimize_true_location(objective, cfg, g, m) for g, m in rows)
+
     @pytest.mark.parametrize("region", [(150.0, 650.0, 5.0, 505.0), (150.0, 900.0, 5.0, 605.0)])
     def test_point_on_exclusion_circle_stays_feasible(self, region):
         # the box's corner (150, 5) is exactly r = 100 m from the claim

@@ -240,6 +240,18 @@ class TestGeometryStack:
         with pytest.raises(GeometryError, match="path-loss"):
             NetworkGeometry.stack([three, steeper])
 
+    def test_empty_stack_is_rejected_when_built(self):
+        with pytest.raises(GeometryError, match="at least one geometry"):
+            NetworkGeometry(np.zeros((0, 3, 2)), np.zeros((0, 2)), -10.0, 1.0, 3.0)
+
+    def test_stack_of_no_geometries_is_rejected(self):
+        with pytest.raises(GeometryError, match="at least one geometry"):
+            NetworkGeometry.stack([])
+
+    def test_stack_of_no_models_is_rejected(self):
+        with pytest.raises(CovarianceError, match="at least one model"):
+            ShadowingModel.stack([])
+
 
 class TestCovariance:
     def test_halving_at_correlation_distance(self):

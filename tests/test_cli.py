@@ -339,6 +339,16 @@ class TestMain:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_huge_sweep_radius_exits_one_with_a_short_message(self, tmp_path, capsys):
+        path = write(tmp_path, FIG1_FILE + "r_values = 100 1e200\nmc_trials = 1000\n")
+        assert main(["mc", "--scenario", str(path), "-o", str(tmp_path / "out")]) == 1
+        prefix = "error: invalid scenario: "
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"{prefix}invalid search configuration: r_values entry 1e+200: ")
+        assert len(err) - len(prefix) < 200
+        assert err.endswith("lower the r_values entry") and "min_distance" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_sigma_with_an_overflowing_square_exits_one(self, tmp_path, capsys):
         text = FIG1_FILE.replace("sigma_db = 7.5\n", "sigma_db = 1e200\n")
         assert main(["attack", "--scenario", str(write(tmp_path, text))]) == 1

@@ -195,6 +195,23 @@ class TestScenarioValues:
         with pytest.raises(ScenarioError, match=f"^invalid search configuration: {message}"):
             replace(builtin_scenario("fig1"), mc_trials=1000, **changes)
 
+    @pytest.mark.parametrize(
+        "changes, key, other",
+        [({"r_values": (1e200,)}, "r_values entry", "min_distance"),
+         ({"min_distance": 1e200}, "min_distance", "r_values")],
+        ids=["r_values", "min_distance"],
+    )
+    def test_huge_radius_gives_a_short_message_naming_its_key(self, changes, key, other):
+        # r = 1e200 pads fig1's box to about 1.6e199 nodes per axis: the
+        # count of all nodes overflows a float, and its digits would run to 399
+        with pytest.raises(ScenarioError) as info:
+            replace(builtin_scenario("fig1"), **changes)
+        message = str(info.value)
+        assert len(message) < 200
+        assert message.startswith(f"invalid search configuration: {key} 1e+200: ")
+        assert message.endswith(f"raise coarse_grid_step or lower the {key}")
+        assert other not in message
+
     @pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0,), ()])
     def test_thresholds(self, bad):
         with pytest.raises(ScenarioError, match="thresholds"):

@@ -523,24 +523,24 @@ def test_stacked_specs_equal_per_row_bitwise(deployment_stacks):
 
 
 def test_stack_that_fits_is_one_search_call(deployment_stacks, monkeypatch):
-    # one coarse chunk and one refinement chunk: the whole search is one
-    # _search_rows call, as is every single-geometry search
+    # one coarse chunk and one refinement chunk: the search makes one call of
+    # each stage, as every single-geometry search does
     calls = []
-    original = adversary._search_rows
+    for name in ("_coarse", "_refine"):
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return original(*args, **kwargs)
+        def counting(*args, _name=name, _stage=getattr(adversary, name)):
+            calls.append(_name)
+            return _stage(*args)
 
-    monkeypatch.setattr(adversary, "_search_rows", counting)
+        monkeypatch.setattr(adversary, name, counting)
     geometries, models, configs, geometry, model = deployment_stacks[0]
     both = ("rss", "drss")
     want = optimize_true_location(both, configs[0], geometries[0], models[0])
-    assert calls == [{}]
+    assert calls == ["_coarse", "_refine"]
     calls.clear()
     monkeypatch.setattr(adversary, "_CHUNK_NODES", 10**7)
     got = optimize_true_location(both, configs, geometry, model)
-    assert calls == [{}]
+    assert calls == ["_coarse", "_refine"]
     assert tuple(rows[0] for rows in got) == want
 
 
@@ -569,3 +569,35 @@ def test_stacked_search_scores_in_chunks(deployment_stacks, monkeypatch):
     assert rows == tuple(
         optimize_true_location("drss", c, g, m) for g, m, c in zip(geometries, models, configs)
     )
+
+
+def test_two_objective_stacked_search_shares_coarse_chunks(deployment_stacks, monkeypatch):
+    # the objectives share each coarse chunk's grid: its RSS and DRSS calls
+    # score equal points, those of the one-objective search's chunk, and no
+    # call scores more padded nodes than the chunk cap
+    geometries, models, configs, geometry, model = deployment_stacks[0]
+    monkeypatch.setattr(adversary, "_CHUNK_NODES", 2000)
+    calls = {"kl_rss_minimized": [], "kl_drss": []}
+    for name, recorded in calls.items():
+
+        def recording(x_t, *args, _calls=recorded, _kl=getattr(adversary, name)):
+            _calls.append(np.array(x_t))
+            return _kl(x_t, *args)
+
+        monkeypatch.setattr(adversary, name, recording)
+    both = optimize_true_location(("rss", "drss"), configs, geometry, model)
+    rss, drss = ([x for x in recorded if x.shape[1] > 82] for recorded in calls.values())
+    calls["kl_drss"].clear()
+    optimize_true_location("drss", configs, geometry, model)
+    alone = [x for x in calls["kl_drss"] if x.shape[1] > 82]
+    assert len(rss) == len(drss) == len(alone) > 1
+    assert sum(len(x) for x in rss) == len(geometries)
+    for a, b, c in zip(rss, drss, alone):
+        assert len(a) * a.shape[1] <= 2000 or len(a) == 1
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, c)
+    for objective, rows in zip(("rss", "drss"), both):
+        assert rows == tuple(
+            optimize_true_location(objective, c, g, m)
+            for g, m, c in zip(geometries, models, configs)
+        )
