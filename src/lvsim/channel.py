@@ -122,6 +122,8 @@ class NetworkGeometry:
         sliced, ``claimed_mean`` included, and not checked or computed again.
         """
         u = self.claimed_mean[rows]
+        if not len(u):
+            raise GeometryError("a geometry stack needs at least one geometry")
         u.flags.writeable = False
         taken = object.__new__(NetworkGeometry)
         vars(taken).update(
@@ -181,7 +183,10 @@ class ShadowingModel:
 
     def take(self, rows) -> ShadowingModel:
         """The model stack of the given rows (a slice or index array)."""
-        return ShadowingModel(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+        taken = {f.name: getattr(self, f.name)[rows] for f in fields(self)}
+        if not len(taken["covariance"]):
+            raise CovarianceError("a model stack needs at least one model")
+        return ShadowingModel(**taken)
 
     @cached_property
     def whitened_ones(self) -> np.ndarray:

@@ -232,11 +232,10 @@ def _cmd_reproduce(args) -> int:
     outdir = _outdir(args)
     failed = False
     for scenario in builtin_scenarios():
-        scenario = _apply_overrides(scenario, args)
         worst = run_scenario(scenario, outdir=outdir).worst_sigma
         print(f"{scenario.name}: worst MC deviation {worst:.2f}σ")
         failed = failed or worst > SUITE_Z
-    report = verify_theorems(**_given(args, "seed"))
+    report = verify_theorems()
     (outdir / "verification_report.json").write_text(report.to_json())
     print("verification: " + ("all checks pass" if report.all_passed else "FAILURES"))
     return 2 if failed or not report.all_passed else 0
@@ -278,8 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="run the full scenario registry")
     p_rep.add_argument("-o", "--outdir", default=None)
-    p_rep.add_argument("--seed", type=int, default=None)
-    p_rep.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
     p_rep.set_defaults(func=_cmd_reproduce)
 
     return parser

@@ -29,7 +29,7 @@ from .adversary import (
     refined_grid_cell,
 )
 from .channel import GeometryError, NetworkGeometry, ShadowingModel, build_covariance, mean_vector
-from .channel import _finite_mean, _shadowing_variance
+from .channel import _dot, _finite_mean, _shadowing_variance
 from .detector import (
     DetectorSpec,
     analytic_rates,
@@ -523,8 +523,8 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
 
     Each check aggregates its worst-case discrepancy across all trials.  The
     geometries are drawn in blocks of ``_VERIFY_BLOCK`` trials, and each
-    block is checked in stacks of equal N: one stacked call per KL identity,
-    boost and convexity check, and one location search per stack for both
+    block is checked in stacks of equal N: one stacked call per KL identity
+    and boost-grid check, and one location search per stack for both
     objectives.  Each stack builds three detector specs (DRSS, matched RSS,
     and the six suboptimal boosts as a (T, 6) stack), two ``analytic_rates``
     calls and one white model; covariances are built per geometry.
@@ -535,11 +535,12 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
         raise ScenarioError(f"seed must be a nonnegative integer, got {seed!r}")
 
     kl_identity = 0.0
-    dominance_margin = np.inf
     rate_identity = 0.0
+    optimal_kl = 0.0
     optimizer_gap = 0.0
     optimizer_tol = 0.0
-    convexity_violation = 0.0
+    boost_identity = 0.0
+    boost_margin = np.inf
     dinv_err = 0.0
     closed_form_err = 0.0
 
@@ -551,6 +552,7 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
         u = geometry.claimed_mean
         v = mean_vector(geometry, x_t)
         boost = optimal_power_boost(u, v, model)
+        q = _dot(model.whitened_ones, model.whitened_ones)  # 1^T R^-1 1, shape (T,)
 
         # Boost-minimized RSS KL equals the DRSS KL for every geometry.
         lhs = kl_rss_minimized(x_t, geometry, model)
@@ -559,19 +561,20 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
             kl_identity, float((np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)).max())
         )
 
-        # With a suboptimal boost, the RSS separation strictly exceeds DRSS:
-        # a (T, 6) stack of RSS specs, the optimal boost offset by ±1, ±3 and
-        # ±10 dB.
+        # A boost off the optimum by dp raises the RSS separation (twice the
+        # KL) above the DRSS one by exactly dp^2 1^T R^-1 1: a (T, 6) stack of
+        # RSS specs, the optimal boost offset by ±1, ±3 and ±10 dB.
         matched = boost[:, None] + v
         drss_spec = _matched_spec("drss", u, matched, model.covariance)
-        offsets = boost[:, None] + np.array([1.0, -1.0, 3.0, -3.0, 10.0, -10.0])
+        dp = np.array([1.0, -1.0, 3.0, -3.0, 10.0, -10.0])
+        offsets = boost[:, None] + dp
         perturbed = _matched_spec(
             "rss", u[:, None], offsets[..., None] + v[:, None], model.covariance[:, None]
         )
-        dominance_margin = min(
-            dominance_margin,
-            float((perturbed.separation - drss_spec.separation[:, None]).min()),
-        )
+        excess = perturbed.separation - drss_spec.separation[:, None]
+        boost_margin = min(boost_margin, float(excess.min()))
+        rel = np.abs(excess - dp**2 * q[:, None]) / perturbed.separation
+        boost_identity = max(boost_identity, float(rel.max()))
 
         # Matched-boost RSS and DRSS operating points coincide.
         rss_spec = _matched_spec("rss", u, matched, model.covariance)
@@ -580,7 +583,7 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
         gap = np.abs(np.subtract((pr.alpha, pr.beta), (pd.alpha, pd.beta))).max()
         rate_identity = max(rate_identity, float(gap))
 
-        # Both location searches land in the same refined cell.
+        # Both location searches land in the same refined cell, at equal KL.
         configs = []
         for g, r in zip(geometries, radii):
             x0, x1, y0, y1 = default_search_region(g, r)
@@ -589,14 +592,13 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
         best_rss, best_drss = optimize_true_location(("rss", "drss"), configs, geometry, model)
         for a, b in zip(best_rss, best_drss):
             optimizer_gap = max(optimizer_gap, math.dist(a.true_location, b.true_location))
+            optimal_kl = max(optimal_kl, abs(a.kl_nats - b.kl_nats) / max(abs(b.kl_nats), 1e-300))
 
-        # KL is convex in the boost and minimized at the closed form.
-        p_grid = boost[:, None] + np.linspace(-5.0, 5.0, 21)
-        phi = kl_rss(p_grid[..., None], x_t[:, None], geometry, model)
-        second = np.diff(phi, 2, axis=-1)
-        convexity_violation = max(
-            convexity_violation, float(-(second.min())), float((lhs - phi.min(axis=-1)).max())
-        )
+        # On a 21-point boost grid, the RSS KL is its minimum plus dp^2 1^T R^-1 1 / 2.
+        grid = np.linspace(-5.0, 5.0, 21)
+        phi = kl_rss((boost[:, None] + grid)[..., None], x_t[:, None], geometry, model)
+        predicted = lhs[:, None] + 0.5 * grid**2 * q[:, None]
+        boost_identity = max(boost_identity, float((np.abs(phi - predicted) / phi).max()))
 
         # Uncorrelated special case: explicit inverse of the differenced
         # covariance, and the summation closed form of the minimized KL.  The
@@ -617,13 +619,8 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
 
     checks = (
         CheckResult("kl-identity-rss-drss", kl_identity < 1e-9, kl_identity, 1e-9),
-        CheckResult(
-            "suboptimal-boost-dominance",
-            dominance_margin > 0.0,
-            float(dominance_margin),
-            0.0,
-        ),
         CheckResult("rate-identity-rss-drss", rate_identity < 1e-9, rate_identity, 1e-9),
+        CheckResult("optimal-kl-identity-rss-drss", optimal_kl < 1e-9, optimal_kl, 1e-9),
         CheckResult(
             "location-optimizer-coincidence",
             optimizer_gap <= optimizer_tol,
@@ -631,7 +628,10 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
             optimizer_tol,
         ),
         CheckResult(
-            "boost-convexity", convexity_violation <= 1e-9, convexity_violation, 1e-9
+            "boost-quadratic-identity",
+            boost_identity <= 1e-9 and boost_margin > 0.0,
+            boost_identity,
+            1e-9,
         ),
         CheckResult("uncorrelated-d-inverse", dinv_err < 1e-9, dinv_err, 1e-9),
         CheckResult(

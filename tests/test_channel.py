@@ -252,6 +252,17 @@ class TestGeometryStack:
         with pytest.raises(CovarianceError, match="at least one model"):
             ShadowingModel.stack([])
 
+    @pytest.mark.parametrize(
+        "rows", [slice(2, 2), np.array([], dtype=int)], ids=["slice", "index-array"]
+    )
+    def test_empty_take_is_rejected(self, rows):
+        singles = [make_geometry(bs, claimed=c) for bs, c in zip(STACK_BS, STACK_CLAIMS)]
+        with pytest.raises(GeometryError, match="at least one geometry"):
+            NetworkGeometry.stack(singles).take(rows)
+        models = ShadowingModel.stack([build_covariance(g, 6.0, 40.0) for g in singles])
+        with pytest.raises(CovarianceError, match="at least one model"):
+            models.take(rows)
+
 
 class TestCovariance:
     def test_halving_at_correlation_distance(self):

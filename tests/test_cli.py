@@ -392,10 +392,9 @@ class TestMain:
         assert code == 1
         assert "mc_trials" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, seed", [([], 1), (["--seed", "0"], 0), (["--seed", "7"], 7)])
-    def test_reproduce_passes_its_seed(self, tmp_path, monkeypatch, argv, seed):
-        # ``seed`` is the one verification runs with: the flag's, else the
-        # default of verify_theorems, which the CLI does not restate
+    def test_reproduce_passes_its_seed(self, tmp_path, monkeypatch):
+        # each scenario runs with the registry's own mc_seed, and verification
+        # with the defaults of verify_theorems, which the CLI does not restate
         from types import SimpleNamespace
 
         mc_seeds, verify_calls = [], []
@@ -410,32 +409,9 @@ class TestMain:
 
         monkeypatch.setattr(cli, "run_scenario", fake_run_scenario)
         monkeypatch.setattr(cli, "verify_theorems", fake_verify_theorems)
-        assert main(["reproduce", "-o", str(tmp_path)] + argv) == 0
-        assert verify_calls == [{"seed": seed} if argv else {}]
-        assert {**VERIFY_DEFAULTS, **verify_calls[0]}["seed"] == seed
-        if argv:
-            assert mc_seeds == [seed] * 6
-        else:
-            assert mc_seeds == [11, 12, 13, 14, 15, 16]
-
-    def test_reproduce_trials_sets_only_monte_carlo_trials(self, tmp_path, monkeypatch):
-        from types import SimpleNamespace
-
-        mc_trials, verify_calls = [], []
-
-        def fake_run_scenario(scenario, outdir=None):
-            mc_trials.append(scenario.mc_trials)
-            return SimpleNamespace(worst_sigma=0.0)
-
-        def fake_verify_theorems(**kwargs):
-            verify_calls.append(kwargs)
-            return SimpleNamespace(all_passed=True, to_json=lambda: "{}\n")
-
-        monkeypatch.setattr(cli, "run_scenario", fake_run_scenario)
-        monkeypatch.setattr(cli, "verify_theorems", fake_verify_theorems)
-        assert main(["reproduce", "-o", str(tmp_path), "--trials", "20000"]) == 0
-        assert mc_trials == [20000] * 6
-        assert verify_calls == [{}]  # verification keeps its own trial count
+        assert main(["reproduce", "-o", str(tmp_path)]) == 0
+        assert verify_calls == [{}]
+        assert mc_seeds == [11, 12, 13, 14, 15, 16]
 
     @pytest.mark.parametrize(
         "argv, passed",
@@ -462,13 +438,22 @@ class TestMain:
         # the README's "100 geometries" for `verify` and `reproduce`
         assert VERIFY_DEFAULTS == {"trials": 100, "seed": 1}
 
-    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
-    def test_roc_rejects_monte_carlo_flags(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            pytest.param(["roc", "--scenario", "fig3"], "--seed", id="--seed"),
+            pytest.param(["roc", "--scenario", "fig3"], "--trials", id="--trials"),
+            pytest.param(["reproduce"], "--seed", id="reproduce--seed"),
+            pytest.param(["reproduce"], "--trials", id="reproduce--trials"),
+        ],
+    )
+    def test_roc_rejects_monte_carlo_flags(self, tmp_path, capsys, command, flag):
+        # reproduce runs the registry's own seeds and trial counts
         with pytest.raises(SystemExit) as exc:
-            main(["roc", "--scenario", "fig3", "-o", str(tmp_path), flag, "5"])
+            main(command + ["-o", str(tmp_path), flag, "5"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
-        assert not (tmp_path / "fig3").exists()
+        assert not any(tmp_path.iterdir())
 
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         src = str(Path(lvsim.__file__).resolve().parents[1])

@@ -445,8 +445,37 @@ class TestVerifyTheorems:
     def test_all_checks_pass(self):
         report = verify_theorems(trials=20, seed=5)
         assert report.all_passed
-        names = [c.name for c in report.checks]
-        assert len(names) == len(set(names))
+        assert [c.name for c in report.checks] == [
+            "kl-identity-rss-drss",
+            "rate-identity-rss-drss",
+            "optimal-kl-identity-rss-drss",
+            "location-optimizer-coincidence",
+            "boost-quadratic-identity",
+            "uncorrelated-d-inverse",
+            "uncorrelated-closed-form-kl",
+        ]
+
+    def test_perturbed_boost_kl_fails_only_the_quadratic_identity(self, monkeypatch):
+        # a KL off by 1e-7 relative on the boost grid breaks the exact identity
+        # kl_rss(p) = kl_rss(p*) + (p - p*)^2 1^T R^-1 1 / 2, and nothing else
+        original = experiments.kl_rss
+        monkeypatch.setattr(experiments, "kl_rss", lambda *args: original(*args) * (1.0 + 1e-7))
+        report = verify_theorems(trials=20, seed=5)
+        failed = [c.name for c in report.checks if not c.passed]
+        assert failed == ["boost-quadratic-identity"]
+
+    def test_perturbed_drss_optimum_fails_only_the_optimal_kl_identity(self, monkeypatch):
+        # the optimal RSS and DRSS attacks cost the same KL
+        original = experiments.optimize_true_location
+
+        def scaled(*args):
+            best_rss, best_drss = original(*args)
+            return best_rss, [replace(b, kl_nats=b.kl_nats * (1.0 + 1e-7)) for b in best_drss]
+
+        monkeypatch.setattr(experiments, "optimize_true_location", scaled)
+        report = verify_theorems(trials=20, seed=5)
+        failed = [c.name for c in report.checks if not c.passed]
+        assert failed == ["optimal-kl-identity-rss-drss"]
 
     def test_deterministic(self):
         a = verify_theorems(trials=5, seed=9)

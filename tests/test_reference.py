@@ -344,11 +344,12 @@ def reference_verify(trials, seed):
     rng = np.random.default_rng(seed)
 
     kl_identity = 0.0
-    dominance_margin = np.inf
     rate_identity = 0.0
+    optimal_kl = 0.0
     optimizer_gap = 0.0
     optimizer_tol = 0.0
-    convexity_violation = 0.0
+    boost_identity = 0.0
+    boost_margin = np.inf
     dinv_err = 0.0
     closed_form_err = 0.0
 
@@ -358,6 +359,8 @@ def reference_verify(trials, seed):
         u = geometry.claimed_mean
         v = mean_vector(geometry, x_t)
         boost = optimal_power_boost(u, v, model)
+        ones = model.whitened_ones
+        q = ones @ ones
 
         lhs = kl_rss_minimized(x_t, geometry, model)
         rhs = kl_drss(x_t, geometry, model)
@@ -367,9 +370,12 @@ def reference_verify(trials, seed):
         drss_spec = detector_spec("drss", geometry, model, strat)
         for db in (1.0, 3.0, 10.0):
             for sign in (1.0, -1.0):
-                perturbed = AttackStrategy(tuple(x_t), boost + sign * db, 0.0)
+                dp = sign * db
+                perturbed = AttackStrategy(tuple(x_t), boost + dp, 0.0)
                 rss_s = detector_spec("rss", geometry, model, perturbed).separation
-                dominance_margin = min(dominance_margin, rss_s - drss_spec.separation)
+                excess = rss_s - drss_spec.separation
+                boost_margin = min(boost_margin, excess)
+                boost_identity = max(boost_identity, abs(excess - dp**2 * q) / rss_s)
 
         rss_spec = detector_spec("rss", geometry, model, strat)
         pr = analytic_rates(rss_spec, MC_LOG_THRESHOLDS)
@@ -386,13 +392,16 @@ def reference_verify(trials, seed):
             optimizer_gap,
             math.dist(best_rss.true_location, best_drss.true_location),
         )
+        optimal_kl = max(
+            optimal_kl,
+            abs(best_rss.kl_nats - best_drss.kl_nats) / max(abs(best_drss.kl_nats), 1e-300),
+        )
         optimizer_tol = max(optimizer_tol, math.sqrt(2.0) * refined_grid_cell(cfg))
 
-        p_grid = boost + np.linspace(-5.0, 5.0, 21)
-        phi = kl_rss(p_grid[:, None], x_t, geometry, model)
-        second = np.diff(phi, 2)
-        convexity_violation = max(convexity_violation, float(-(second.min())))
-        convexity_violation = max(convexity_violation, float(lhs - phi.min()))
+        grid = np.linspace(-5.0, 5.0, 21)
+        phi = kl_rss((boost + grid)[:, None], x_t, geometry, model)
+        predicted = lhs + 0.5 * grid**2 * q
+        boost_identity = max(boost_identity, float((np.abs(phi - predicted) / phi).max()))
 
         n = geometry.n_stations
         white = build_covariance(geometry, 1.0, 0.0)
@@ -414,13 +423,8 @@ def reference_verify(trials, seed):
 
     checks = (
         CheckResult("kl-identity-rss-drss", kl_identity < 1e-9, kl_identity, 1e-9),
-        CheckResult(
-            "suboptimal-boost-dominance",
-            dominance_margin > 0.0,
-            float(dominance_margin),
-            0.0,
-        ),
         CheckResult("rate-identity-rss-drss", rate_identity < 1e-9, rate_identity, 1e-9),
+        CheckResult("optimal-kl-identity-rss-drss", optimal_kl < 1e-9, optimal_kl, 1e-9),
         CheckResult(
             "location-optimizer-coincidence",
             optimizer_gap <= optimizer_tol,
@@ -428,7 +432,10 @@ def reference_verify(trials, seed):
             optimizer_tol,
         ),
         CheckResult(
-            "boost-convexity", convexity_violation <= 1e-9, convexity_violation, 1e-9
+            "boost-quadratic-identity",
+            boost_identity <= 1e-9 and boost_margin > 0.0,
+            float(boost_identity),
+            1e-9,
         ),
         CheckResult("uncorrelated-d-inverse", dinv_err < 1e-9, dinv_err, 1e-9),
         CheckResult(
