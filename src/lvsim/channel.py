@@ -7,6 +7,7 @@ correlation: the covariance between two base stations halves every
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -49,16 +50,16 @@ class NetworkGeometry:
     is built.
 
     A stack of T geometries that share N has ``bs_positions`` of shape
-    (T, N, 2), ``claimed_location`` of shape (T, 2) and ``claimed_mean`` of
-    shape (T, N); each row is checked as one geometry is, and the path-loss
-    scalars are shared.  ``NetworkGeometry.stack`` builds one from single
-    geometries and ``take`` selects its rows.  One geometry is the unstacked
-    case.
+    (T, N, 2), ``claimed_location`` of shape (T, 2), ``claimed_mean`` of
+    shape (T, N) and each path-loss scalar of shape (T,): a float given for
+    a stack holds for every row.  Each row is checked as one geometry is.
+    ``NetworkGeometry.stack`` builds one from single geometries and ``take``
+    selects its rows.  One geometry is the unstacked case.
     """
 
     bs_positions: np.ndarray  # (N, 2), or (T, N, 2) for a stack
     claimed_location: np.ndarray  # (2,), or (T, 2)
-    ref_power_db: float
+    ref_power_db: float  # or (T,) for a stack, as are the two below
     ref_distance_m: float
     path_loss_exponent: float
 
@@ -77,13 +78,19 @@ class NetworkGeometry:
             raise GeometryError("at least two base stations are required")
         if not len(bs):  # one geometry has N >= 2 rows; a stack has T
             raise GeometryError("a geometry stack needs at least one geometry")
-        scalars = (self.ref_power_db, self.ref_distance_m, self.path_loss_exponent)
+        names = ("ref_power_db", "ref_distance_m", "path_loss_exponent")
+        if bs.ndim == 3:  # a stack holds each path-loss scalar per row, shape (T,)
+            try:
+                vars(self).update({n: np.full(len(bs), getattr(self, n), float) for n in names})
+            except ValueError as exc:
+                raise GeometryError("path-loss parameters must be floats or (T,) arrays") from exc
+        scalars = np.array([getattr(self, name) for name in names], dtype=float).reshape(3, -1)
         if not (np.isfinite(bs).all() and np.isfinite(xc).all() and np.isfinite(scalars).all()):
             raise GeometryError("coordinates and path-loss parameters must be finite")
-        if self.ref_distance_m <= 0:
-            raise GeometryError("reference distance must be positive")
-        if self.path_loss_exponent <= 0:
-            raise GeometryError("path loss exponent must be positive")
+        lowest = scalars.min(axis=1)  # over the rows of a stack
+        for low, what in zip(lowest[1:], ("reference distance", "path loss exponent")):
+            if low <= 0:
+                raise GeometryError(f"{what} must be positive")
         with np.errstate(over="ignore"):  # a distance that overflows is inf, not 0
             d = np.linalg.norm(bs[..., :, None, :] - bs[..., None, :, :], axis=-1)
         d[..., range(bs.shape[-2]), range(bs.shape[-2])] = np.inf
@@ -99,39 +106,16 @@ class NetworkGeometry:
 
     @classmethod
     def stack(cls, geometries) -> NetworkGeometry:
-        """The stack of geometries that share N and the path-loss scalars."""
-        if not len(geometries):
-            raise GeometryError("a geometry stack needs at least one geometry")
-        first = geometries[0]
-        scalars = (first.ref_power_db, first.ref_distance_m, first.path_loss_exponent)
-        for g in geometries:
-            if g.bs_positions.shape != first.bs_positions.shape:
-                raise GeometryError("stacked geometries must each hold the same N stations")
-            if (g.ref_power_db, g.ref_distance_m, g.path_loss_exponent) != scalars:
-                raise GeometryError("stacked geometries must share the path-loss scalars")
-        return cls(
-            np.array([g.bs_positions for g in geometries]),
-            np.array([g.claimed_location for g in geometries]),
-            *scalars,
-        )
+        """The stack of geometries that share N: every field, stacked."""
+        if any(g.bs_positions.shape != geometries[0].bs_positions.shape for g in geometries):
+            raise GeometryError("stacked geometries must each hold the same N stations")
+        empty = GeometryError("a geometry stack needs at least one geometry")
+        return _stack(cls, geometries, empty)
 
     def take(self, rows) -> NetworkGeometry:
-        """The stack of the given rows (a slice or index array) of this stack.
-
-        The rows were checked when this stack was built, so their arrays are
-        sliced, ``claimed_mean`` included, and not checked or computed again.
-        """
-        u = self.claimed_mean[rows]
-        if not len(u):
-            raise GeometryError("a geometry stack needs at least one geometry")
-        u.flags.writeable = False
-        taken = object.__new__(NetworkGeometry)
-        vars(taken).update(
-            vars(self),
-            bs_positions=self.bs_positions[rows],
-            claimed_location=self.claimed_location[rows],
-            claimed_mean=u,
-        )
+        """The stack of the given rows (a slice, index array or mask) of this stack."""
+        taken = _take(self, rows, GeometryError("a geometry stack needs at least one geometry"))
+        taken.claimed_mean.flags.writeable = False
         return taken
 
     def __reduce__(self):
@@ -142,12 +126,8 @@ class NetworkGeometry:
     def __eq__(self, other):
         if not isinstance(other, NetworkGeometry):
             return NotImplemented
-        return (
-            np.array_equal(self.bs_positions, other.bs_positions)
-            and np.array_equal(self.claimed_location, other.claimed_location)
-            and self.ref_power_db == other.ref_power_db
-            and self.ref_distance_m == other.ref_distance_m
-            and self.path_loss_exponent == other.path_loss_exponent
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
 
 
@@ -160,10 +140,10 @@ class ShadowingModel:
     factor L; ``whitener`` W = L^-1 turns b^T R^-1 b into |W b|^2, and
     ``d_whitener`` does the same for the differenced covariance D.
     ``diag_jitter`` records any stabilization added to the diagonal (zero in
-    the normal case).  ``whitened_ones`` W 1 and its unit W 1 / |W 1| are
-    computed on first use and kept.  A model stack, for a stack of
-    geometries, holds the ``np.stack`` of the per-geometry values of every
-    field (``ShadowingModel.stack``; ``take`` selects its rows).
+    the normal case; ``build_covariance`` warns when it adds one).
+    ``whitened_ones`` W 1 and its unit W 1 / |W 1| are computed on first use
+    and kept.  A model stack holds every field stacked over its rows, as a
+    geometry stack does (``ShadowingModel.stack``; ``take`` selects rows).
     """
 
     sigma_db: float
@@ -177,16 +157,11 @@ class ShadowingModel:
     @classmethod
     def stack(cls, models) -> ShadowingModel:
         """The model stack of per-geometry models: every field, stacked."""
-        if not len(models):
-            raise CovarianceError("a model stack needs at least one model")
-        return cls(**{f.name: np.array([getattr(m, f.name) for m in models]) for f in fields(cls)})
+        return _stack(cls, models, CovarianceError("a model stack needs at least one model"))
 
     def take(self, rows) -> ShadowingModel:
-        """The model stack of the given rows (a slice or index array)."""
-        taken = {f.name: getattr(self, f.name)[rows] for f in fields(self)}
-        if not len(taken["covariance"]):
-            raise CovarianceError("a model stack needs at least one model")
-        return ShadowingModel(**taken)
+        """The model stack of the given rows (a slice, index array or mask)."""
+        return _take(self, rows, CovarianceError("a model stack needs at least one model"))
 
     @cached_property
     def whitened_ones(self) -> np.ndarray:
@@ -212,10 +187,13 @@ def mean_vector(geometry: NetworkGeometry, location) -> np.ndarray:
     if loc.shape[-1:] != (2,):
         raise GeometryError("location must be a 2-D point or an array of shape (..., 2)")
     bs = geometry.bs_positions
+    p0, d0, n = geometry.ref_power_db, geometry.ref_distance_m, geometry.path_loss_exponent
     if bs.ndim == 3:
         if loc.ndim < 2 or loc.shape[0] != bs.shape[0]:
             raise GeometryError("a geometry stack needs locations of shape (T, ..., 2)")
         bs = _per_row(bs, loc.ndim)
+        row = (-1,) + (1,) * (loc.ndim - 1)  # row t's scalars meet its distances (T, ..., N)
+        p0, d0, n = p0.reshape(row), d0.reshape(row), n.reshape(row)
     dx = loc[..., 0, None] - bs[..., 0]
     dy = loc[..., 1, None] - bs[..., 1]
     # bit-identical to np.linalg.norm over the coordinate axis, without its
@@ -223,9 +201,7 @@ def mean_vector(geometry: NetworkGeometry, location) -> np.ndarray:
     dist = np.sqrt(dx * dx + dy * dy)
     if np.count_nonzero(dist == 0.0):
         raise GeometryError("location coincides with a base station")
-    return geometry.ref_power_db - 10.0 * geometry.path_loss_exponent * np.log10(
-        dist / geometry.ref_distance_m
-    )
+    return p0 - 10.0 * n * np.log10(dist / d0)
 
 
 def _finite_mean(geometry: NetworkGeometry, location) -> np.ndarray:
@@ -243,6 +219,23 @@ def _shadowing_variance(sigma_db, error) -> float:
     if not (sigma_db > 0.0 and np.finfo(float).tiny <= square < np.inf):
         raise error(f"sigma_db must be positive with a finite, normal square, got {sigma_db!r}")
     return sigma_db**2
+
+
+def _stack(cls, items, empty: Exception):
+    """``cls`` stacked over ``items``: each field is the ``np.array`` of the items' values."""
+    if not len(items):
+        raise empty
+    return cls(**{f.name: np.array([getattr(x, f.name) for x in items]) for f in fields(cls)})
+
+
+def _take(stack, rows, empty: Exception):
+    """The given rows (a slice, index array or mask) of ``stack``: every attribute,
+    a cached one included, is sliced, and nothing is checked or computed again."""
+    taken = object.__new__(type(stack))
+    vars(taken).update({name: value[rows] for name, value in vars(stack).items()})
+    if not len(getattr(taken, fields(taken)[0].name)):
+        raise empty
+    return taken
 
 
 def _dot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -292,6 +285,8 @@ def build_covariance(
                 "(near-duplicate base stations?)"
             ) from exc
         cov = cov + jitter * np.eye(n)
+        msg = f"covariance factors only with diagonal jitter {jitter:.3g} on sigma_db^2 = {var:.6g}"
+        warnings.warn(msg, RuntimeWarning, stacklevel=2)
     try:
         d_chol = np.linalg.cholesky(build_d_matrix(cov))
     except np.linalg.LinAlgError as exc:

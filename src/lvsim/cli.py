@@ -161,7 +161,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     changes = {"mc_" + name: value for name, value in _given(args, "seed", "trials").items()}
     if getattr(args, "thresholds", None):
         changes["thresholds"] = tuple(args.thresholds)
-    if getattr(args, "modes", None):
+    if getattr(args, "modes", None) is not None:
         changes["modes"] = _words(args.modes)
     return replace(scenario, **changes) if changes else scenario
 

@@ -485,7 +485,7 @@ class VerificationReport:
 
 
 def _random_geometry(rng: np.random.Generator):
-    """Random deployment in the 500 x 20 m box, with a feasible attacker."""
+    """Random deployment in the 500 x 20 m box, path-loss exponent 2-4, feasible attacker."""
     while True:
         n = int(rng.integers(3, 6))
         bs = np.column_stack(
@@ -496,13 +496,13 @@ def _random_geometry(rng: np.random.Generator):
         xc = np.asarray(_CLAIMED)
         if d.min() > 1.0 and np.linalg.norm(bs - xc, axis=-1).min() > 1.0:
             break
-    geometry = deployment_geometry(bs)
     r = 100.0
     theta = rng.uniform(0.0, 2.0 * np.pi)
     rho = rng.uniform(r, 3.0 * r)
     x_t = xc + rho * np.array([np.cos(theta), np.sin(theta)])
     sigma = float(rng.uniform(3.0, 10.0))
     dc = float(rng.uniform(0.0, 200.0))
+    geometry = deployment_geometry(bs, path_loss_exponent=float(rng.uniform(2.0, 4.0)))
     return geometry, x_t, sigma, dc, r
 
 

@@ -198,6 +198,44 @@ class TestStackedObjectives:
         with pytest.raises(SearchError, match="one geometry"):
             default_search_region(geometry, 100.0)
 
+    def test_mixed_path_loss_scalars_score_and_search_as_rows(self):
+        # rows differ in all three path-loss scalars; each row rounds as its own
+        # geometry does, in the KL objectives and in a two-objective search
+        rng = np.random.default_rng(17)
+        rows = []
+        for _ in range(9):
+            g = make_geometry(
+                rng.uniform(-250.0, 250.0, (4, 2)),
+                p=rng.uniform(-30.0, 0.0),
+                d=rng.uniform(0.5, 5.0),
+                gamma=rng.uniform(2.0, 4.0),
+            )
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            ray = np.array([np.cos(angle), np.sin(angle)])
+            x = np.add(CLAIMED, rng.uniform(100.0, 300.0) * ray)
+            m = build_covariance(g, rng.uniform(3.0, 10.0), rng.uniform(0.0, 200.0))
+            rows.append((g, m, x))
+        geometries, models, x_t = zip(*rows)
+        geometry, model = NetworkGeometry.stack(geometries), ShadowingModel.stack(models)
+        assert len(set(geometry.ref_power_db)) == len(set(geometry.path_loss_exponent)) == 9
+        pts = np.stack(x_t)[:, None] + rng.uniform(-60.0, 60.0, (9, 5, 2))
+        boosts = rng.uniform(-10.0, 10.0, (9, 5, 1))
+        got = {
+            "mean": mean_vector(geometry, pts),
+            "rss": kl_rss(boosts, pts, geometry, model),
+            "rss-min": kl_rss_minimized(pts, geometry, model),
+            "drss": kl_drss(pts, geometry, model),
+        }
+        configs = [SearchConfig(100.0, coarse_grid_step=40.0)] * 9
+        both = optimize_true_location(("rss", "drss"), configs, geometry, model)
+        for t, (g, m, _) in enumerate(rows):
+            np.testing.assert_array_equal(got["mean"][t], mean_vector(g, pts[t]))
+            np.testing.assert_array_equal(got["rss"][t], kl_rss(boosts[t], pts[t], g, m))
+            np.testing.assert_array_equal(got["rss-min"][t], kl_rss_minimized(pts[t], g, m))
+            np.testing.assert_array_equal(got["drss"][t], kl_drss(pts[t], g, m))
+            want = optimize_true_location(("rss", "drss"), configs[t], g, m)
+            assert (both[0][t], both[1][t]) == want
+
 
 class TestKlDrss:
     def test_zero_at_claimed_location(self, fig3_geometry, fig3_model):

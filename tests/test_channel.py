@@ -214,7 +214,13 @@ class TestGeometryStack:
     def test_take_equals_constructor_bitwise(self, monkeypatch, rows):
         rng = np.random.default_rng(5)
         singles = [
-            make_geometry(rng.uniform(-300.0, 300.0, (4, 2)), claimed=rng.uniform(-50.0, 50.0, 2))
+            make_geometry(
+                rng.uniform(-300.0, 300.0, (4, 2)),
+                claimed=rng.uniform(-50.0, 50.0, 2),
+                p=rng.uniform(-30.0, 0.0),
+                d=rng.uniform(0.5, 5.0),
+                gamma=rng.uniform(2.0, 4.0),
+            )
             for _ in range(7)
         ]
         built = NetworkGeometry.stack([singles[i] for i in np.arange(7)[rows]])
@@ -228,17 +234,64 @@ class TestGeometryStack:
             assert got.tobytes() == want.tobytes()
         for f in fields(NetworkGeometry):
             if f.name not in ("bs_positions", "claimed_location"):
-                assert getattr(taken, f.name) == getattr(built, f.name)
+                assert np.array_equal(getattr(taken, f.name), getattr(built, f.name))
         assert not taken.claimed_mean.flags.writeable
 
-    def test_stack_needs_shared_n_and_path_loss(self):
+    def test_stack_needs_same_n(self):
         three = make_geometry(STACK_BS[0], claimed=STACK_CLAIMS[0])
         two = make_geometry(STACK_BS[0][:2], claimed=STACK_CLAIMS[0])
         with pytest.raises(GeometryError, match="same N"):
             NetworkGeometry.stack([three, two])
-        steeper = replace(three, path_loss_exponent=4.0)
-        with pytest.raises(GeometryError, match="path-loss"):
-            NetworkGeometry.stack([three, steeper])
+
+    def test_stack_of_mixed_path_loss_scalars(self):
+        singles = [
+            make_geometry(STACK_BS[0], claimed=STACK_CLAIMS[0], p=-10.0, d=1.0, gamma=3.0),
+            make_geometry(STACK_BS[1], claimed=STACK_CLAIMS[1], p=-27.5, d=2.5, gamma=2.2),
+            make_geometry(STACK_BS[0], claimed=STACK_CLAIMS[1], p=3.0, d=0.7, gamma=3.9),
+        ]
+        stack = NetworkGeometry.stack(singles)
+        for name in ("ref_power_db", "ref_distance_m", "path_loss_exponent"):
+            got = getattr(stack, name)
+            assert got.shape == (3,) and got.dtype == float
+            assert got.tolist() == [getattr(g, name) for g in singles]
+        pts = np.random.default_rng(8).uniform(-600.0, 600.0, (3, 4, 2))
+        got = mean_vector(stack, pts)
+        for t, one in enumerate(singles):
+            np.testing.assert_array_equal(stack.claimed_mean[t], one.claimed_mean)
+            np.testing.assert_array_equal(got[t], mean_vector(one, pts[t]))
+            assert stack.take([t]) == NetworkGeometry.stack([one])
+        assert stack == NetworkGeometry.stack(singles)
+        nearer = replace(singles[2], ref_distance_m=1.0)
+        assert stack != NetworkGeometry.stack(singles[:2] + [nearer])
+        for clone in (copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))):
+            twin = clone(stack)
+            assert twin == stack
+            np.testing.assert_array_equal(twin.claimed_mean, stack.claimed_mean)
+            assert not twin.claimed_mean.flags.writeable
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"gamma": [3.0, 0.0]}, "path loss exponent must be positive"),
+            ({"d": [1.0, -2.0]}, "reference distance must be positive"),
+            ({"p": [np.nan, -10.0]}, "finite"),
+            ({"gamma": [3.0, 3.0, 3.0]}, "floats or \\(T,\\) arrays"),
+            ({"gamma": [1e308, 3.0]}, "mean received power is not finite"),
+        ],
+        ids=["exponent", "ref-distance", "ref-power", "wrong-length", "non-finite-mean"],
+    )
+    def test_each_rows_path_loss_scalars_are_checked(self, change, message):
+        with pytest.raises(GeometryError, match=message):
+            make_geometry(np.array(STACK_BS), claimed=np.array(STACK_CLAIMS), **change)
+
+    def test_model_take_keeps_cached_whitened_vectors(self):
+        singles = [make_geometry(bs, claimed=c) for bs, c in zip(STACK_BS, STACK_CLAIMS)]
+        models = ShadowingModel.stack([build_covariance(g, 6.0, 40.0) for g in singles])
+        unit = models.whitened_unit
+        taken = models.take(np.array([1]))
+        # sliced from the stack's cache, not recomputed from the whitener
+        assert vars(taken)["whitened_ones"].tobytes() == models.whitened_ones[[1]].tobytes()
+        assert vars(taken)["whitened_unit"].tobytes() == unit[[1]].tobytes()
 
     def test_empty_stack_is_rejected_when_built(self):
         with pytest.raises(GeometryError, match="at least one geometry"):
@@ -333,6 +386,14 @@ class TestCovariance:
         # not be rescued by diagonal jitter
         with pytest.raises(CovarianceError, match="correlation_distance"):
             build_covariance(fig1_geometry, 7.5, math.inf)
+
+    def test_jitter_rescue_warns(self):
+        # stations 1e-8 m apart under D_c = 1e8 m: kappa(R) is about 3e10 and
+        # the exact kernel matrix does not factor
+        geometry = make_geometry([[0.0, 0.0], [1e-8, 0.0], [100.0, 0.0]])
+        with pytest.warns(RuntimeWarning, match=r"diagonal jitter 2\.5e-09 on sigma_db\^2 = 25$"):
+            model = build_covariance(geometry, 5.0, 1e8)
+        assert model.diag_jitter == 2.5e-9
 
     def test_whiteners_stored_once(self, fig1_model):
         w, wd = fig1_model.whitener, fig1_model.d_whitener

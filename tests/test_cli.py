@@ -266,12 +266,17 @@ class TestMain:
         assert code == 0
         assert "custom drss" in capsys.readouterr().out
 
-    def test_roc_unknown_mode_exits_one_before_writing(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "modes, message",
+        [("rss,foo", "unknown mode: 'foo'"), ("", "modes must name at least one of rss, drss")],
+        ids=["rss,foo", "empty"],
+    )
+    def test_roc_unknown_mode_exits_one_before_writing(self, tmp_path, capsys, modes, message):
         text = FIG1_FILE + "attack = fixed-location\ntrue_location = 650 5\n"
-        argv = ["roc", "--scenario", str(write(tmp_path, text)), "--modes", "rss,foo"]
+        argv = ["roc", "--scenario", str(write(tmp_path, text)), "--modes", modes]
         code = main(argv + ["-o", str(tmp_path / "out")])
         assert code == 1
-        assert "unknown mode: 'foo'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_bad_scenario_source_exits_one(self, capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -520,3 +521,11 @@ class TestVerifyTheorems:
     def test_invalid_seed_rejected(self, bad):
         with pytest.raises(ScenarioError, match="seed"):
             verify_theorems(1, seed=bad)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md (Library example)", "exec"), {})
+    assert capsys.readouterr().out
