@@ -39,8 +39,46 @@ class CovarianceError(ValueError):
     """Shadowing covariance is numerically non-positive-definite."""
 
 
+class _Stackable:
+    """One item, or a stack of T items: every field stacked over the rows, so a
+    single item's floats (path-loss scalars, σ) are (T,) arrays.  The two types
+    differ here only in ``_error`` and ``_noun``; ``__eq__`` leaves both unhashable."""
+
+    @classmethod
+    def stack(cls, items):
+        """The stack of single items whose fields share their shapes: every field, stacked."""
+        if not len(items):
+            raise cls._error(f"a {cls._noun} stack needs at least one {cls._noun}")
+        names = [f.name for f in fields(cls)]
+        shapes = {tuple(getattr(getattr(x, n), "shape", ()) for n in names) for x in items}
+        if len(shapes) > 1 or all(shapes.pop()):  # a float has shape (); a stack has no 0-d field
+            raise cls._error(f"a {cls._noun} stack needs single items with the same N stations")
+        return cls(**{n: np.array([getattr(x, n) for x in items]) for n in names})
+
+    def take(self, rows):
+        """The stack of the given rows (a slice, index array or mask) of this stack:
+        every attribute, a cached one included, is sliced and keeps its source's
+        writeable flag, and nothing is checked or computed again."""
+        if not all(np.ndim(getattr(self, f.name)) for f in fields(self)):
+            raise self._error(f"take selects rows of a {self._noun} stack, not of one {self._noun}")
+        taken = object.__new__(type(self))
+        for name, value in vars(self).items():
+            vars(taken)[name] = value[rows]
+            vars(taken)[name].flags.writeable = value.flags.writeable
+        if not len(getattr(taken, fields(taken)[0].name)):
+            raise self._error(f"a {self._noun} stack needs at least one {self._noun}")
+        return taken
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+
 @dataclass(frozen=True, eq=False)
-class NetworkGeometry:
+class NetworkGeometry(_Stackable):
     """Base-station layout plus the user's claimed location.
 
     Coordinates are 2-D Euclidean, in meters.  ``ref_power_db`` is the
@@ -56,6 +94,8 @@ class NetworkGeometry:
     ``NetworkGeometry.stack`` builds one from single geometries and ``take``
     selects its rows.  One geometry is the unstacked case.
     """
+
+    _error, _noun = GeometryError, "geometry"
 
     bs_positions: np.ndarray  # (N, 2), or (T, N, 2) for a stack
     claimed_location: np.ndarray  # (2,), or (T, 2)
@@ -104,35 +144,14 @@ class NetworkGeometry:
     def n_stations(self) -> int:
         return self.bs_positions.shape[-2]
 
-    @classmethod
-    def stack(cls, geometries) -> NetworkGeometry:
-        """The stack of geometries that share N: every field, stacked."""
-        if any(g.bs_positions.shape != geometries[0].bs_positions.shape for g in geometries):
-            raise GeometryError("stacked geometries must each hold the same N stations")
-        empty = GeometryError("a geometry stack needs at least one geometry")
-        return _stack(cls, geometries, empty)
-
-    def take(self, rows) -> NetworkGeometry:
-        """The stack of the given rows (a slice, index array or mask) of this stack."""
-        taken = _take(self, rows, GeometryError("a geometry stack needs at least one geometry"))
-        taken.claimed_mean.flags.writeable = False
-        return taken
-
     def __reduce__(self):
         # copies and unpickled geometries are rebuilt through the constructor,
         # so their claimed_mean is recomputed and read-only again
         return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
-    def __eq__(self, other):
-        if not isinstance(other, NetworkGeometry):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )
 
-
-@dataclass(frozen=True)
-class ShadowingModel:
+@dataclass(frozen=True, eq=False)
+class ShadowingModel(_Stackable):
     """Covariance of the dB shadowing noise across base stations.
 
     ``covariance`` is N x N symmetric positive definite with every diagonal
@@ -146,6 +165,8 @@ class ShadowingModel:
     geometry stack does (``ShadowingModel.stack``; ``take`` selects rows).
     """
 
+    _error, _noun = CovarianceError, "model"
+
     sigma_db: float
     correlation_distance: float
     covariance: np.ndarray
@@ -153,15 +174,6 @@ class ShadowingModel:
     whitener: np.ndarray
     d_whitener: np.ndarray
     diag_jitter: float = 0.0
-
-    @classmethod
-    def stack(cls, models) -> ShadowingModel:
-        """The model stack of per-geometry models: every field, stacked."""
-        return _stack(cls, models, CovarianceError("a model stack needs at least one model"))
-
-    def take(self, rows) -> ShadowingModel:
-        """The model stack of the given rows (a slice, index array or mask)."""
-        return _take(self, rows, CovarianceError("a model stack needs at least one model"))
 
     @cached_property
     def whitened_ones(self) -> np.ndarray:
@@ -221,23 +233,6 @@ def _shadowing_variance(sigma_db, error) -> float:
     return sigma_db**2
 
 
-def _stack(cls, items, empty: Exception):
-    """``cls`` stacked over ``items``: each field is the ``np.array`` of the items' values."""
-    if not len(items):
-        raise empty
-    return cls(**{f.name: np.array([getattr(x, f.name) for x in items]) for f in fields(cls)})
-
-
-def _take(stack, rows, empty: Exception):
-    """The given rows (a slice, index array or mask) of ``stack``: every attribute,
-    a cached one included, is sliced, and nothing is checked or computed again."""
-    taken = object.__new__(type(stack))
-    vars(taken).update({name: value[rows] for name, value in vars(stack).items()})
-    if not len(getattr(taken, fields(taken)[0].name)):
-        raise empty
-    return taken
-
-
 def _dot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """a . w over the last axis of ``a``; a stacked w (T, n) meets row t of
     a (T, ..., n) as w[t], rounding as the per-geometry products do."""
@@ -270,7 +265,8 @@ def build_covariance(
         cov = var * np.eye(n)
     else:
         d = np.linalg.norm(bs[:, None, :] - bs[None, :, :], axis=-1)
-        cov = var * np.exp(-(d / correlation_distance) * np.log(2.0))
+        with np.errstate(over="ignore"):  # a tiny D_c overflows d / D_c to inf: exp(-inf) = 0
+            cov = var * np.exp(-(d / correlation_distance) * np.log(2.0))
         np.fill_diagonal(cov, var)
     jitter = 0.0
     try:

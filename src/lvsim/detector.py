@@ -41,12 +41,10 @@ class DegenerateSpecError(DetectorError):
     """The two hypothesis means coincide; the LRT carries no information."""
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
 def q_function(x):
     """Gaussian upper-tail probability Q(x) = P(Z > x) for standard normal Z."""
-    return 0.5 * np.asarray(_erfc(np.asarray(x, dtype=float) / np.sqrt(2.0)), dtype=float)
+    z = np.asarray(x, dtype=float) / np.sqrt(2.0)
+    return 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -136,6 +136,12 @@ class Scenario:
     r_values: tuple | None = None
 
     def __post_init__(self):
+        # the name is the run's output subdirectory, so it must stay inside -o
+        if self.name in ("", ".", "..") or not {"/", "\\", "\0"}.isdisjoint(self.name):
+            raise ScenarioError(
+                "name must be one non-empty path component (no / or \\, not . or .., "
+                f"no NUL), got {self.name!r}"
+            )
         _shadowing_variance(self.sigma_db, ScenarioError)
         if not 0.0 <= self.correlation_distance < math.inf:
             raise ScenarioError(

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -317,11 +318,106 @@ class TestGeometryStack:
             models.take(rows)
 
 
+def stack_case(kind):
+    """(a single item, a stack of two, a differing single item, the named error)
+    of the given kind, "geometry" or "model"."""
+    singles = [make_geometry(bs, claimed=c) for bs, c in zip(STACK_BS, STACK_CLAIMS)]
+    if kind == "geometry":
+        other = replace(singles[0], path_loss_exponent=3.5)
+        return singles[0], NetworkGeometry.stack(singles), other, GeometryError
+    models = [build_covariance(g, 6.0, 40.0) for g in singles]
+    other = build_covariance(singles[0], 6.0, 41.0)
+    return models[0], ShadowingModel.stack(models), other, CovarianceError
+
+
+CLONES = {
+    "same": lambda x: x,
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+class TestStackRules:
+    """stack, take and == follow one rule for geometries and models."""
+
+    @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+    @pytest.mark.parametrize("kind", ["geometry", "model"])
+    def test_equal_to_its_copies(self, kind, clone):
+        single, stack, other, _ = stack_case(kind)
+        for item in (single, stack):
+            twin = clone(item)
+            assert twin == item and not twin != item
+        assert single != other and not single == other
+        assert stack != type(stack).stack([other, other])
+        assert single != stack and stack.take([0]) != single
+
+    def test_fig1_model_equals_its_deepcopy(self):
+        model = builtin_scenario("fig1").shadowing()
+        assert copy.deepcopy(model) == model
+        assert model == builtin_scenario("fig1").shadowing()
+        assert model != builtin_scenario("fig1").geometry
+
+    @pytest.mark.parametrize("kind", ["geometry", "model"])
+    def test_unhashable(self, kind):
+        for item in stack_case(kind)[:2]:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(item)
+
+    @pytest.mark.parametrize("kind", ["geometry", "model"])
+    def test_take_on_a_single_item_is_rejected(self, kind):
+        single, _, _, error = stack_case(kind)
+        with pytest.raises(error, match=f"rows of a {kind} stack, not of one {kind}"):
+            single.take(slice(0, 2))
+
+    @pytest.mark.parametrize("kind", ["geometry", "model"])
+    def test_stack_of_stacks_is_rejected(self, kind):
+        single, stack, _, error = stack_case(kind)
+        for items in ([stack, stack], [single, stack], [stack, single]):
+            with pytest.raises(error, match=f"{kind} stack needs single items"):
+                type(stack).stack(items)
+
+    def test_model_stack_needs_same_n(self):
+        three = build_covariance(make_geometry(STACK_BS[0], claimed=STACK_CLAIMS[0]), 6.0, 40.0)
+        four = build_covariance(make_geometry(FIG1_BS + [[400.0, 300.0]]), 6.0, 40.0)
+        with pytest.raises(CovarianceError, match="same N"):
+            ShadowingModel.stack([three, four])
+
+    @pytest.mark.parametrize(
+        "rows", [slice(0, 1), np.array([1, 0]), np.array([True, False])],
+        ids=["slice", "index-array", "mask"],
+    )
+    @pytest.mark.parametrize("kind", ["geometry", "model"])
+    def test_take_keeps_each_writeable_flag(self, kind, rows):
+        stack = stack_case(kind)[1]
+        if kind == "model":
+            assert stack.whitened_unit.shape == (2, 3)  # now cached, so take slices it too
+        taken = stack.take(rows)
+        assert vars(taken).keys() == vars(stack).keys()
+        for name, value in vars(stack).items():
+            assert vars(taken)[name].flags.writeable == value.flags.writeable, name
+
+
 class TestCovariance:
     def test_halving_at_correlation_distance(self):
         geo = make_geometry([[0.0, 0.0], [30.0, 0.0]], claimed=[5.0, 5.0])
         model = build_covariance(geo, 4.0, 30.0)
         assert model.covariance[0, 1] == pytest.approx(8.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "bs, dc",
+        [(FIG1_BS, 5e-324), (FIG1_BS, 1e-306), (STACK_BS[1], 5e-324)],
+        ids=["fig1-subnormal", "fig1-1e-306", "close-stations-subnormal"],
+    )
+    def test_tiny_correlation_distance_is_the_uncorrelated_limit(self, bs, dc):
+        # d / D_c overflows to inf, and exp(-inf) = 0 is the kernel's limit
+        geo = make_geometry(bs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = build_covariance(geo, 6.0, dc)
+        uncorrelated = build_covariance(geo, 6.0, 0.0)
+        for name in ("covariance", "chol_lower", "whitener", "d_whitener", "diag_jitter"):
+            assert np.array_equal(getattr(model, name), getattr(uncorrelated, name)), name
 
     def test_uncorrelated_limit_is_diagonal(self, fig1_geometry):
         model = build_covariance(fig1_geometry, 6.0, 0.0)

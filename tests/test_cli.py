@@ -317,6 +317,25 @@ class TestMain:
         assert err.startswith("error: invalid scenario: location coincides with a base station")
         assert not (tmp_path / "on-station").exists()
 
+    @pytest.mark.parametrize("command", ["roc", "mc"])
+    @pytest.mark.parametrize(
+        "name", ["../escaped", "ABSOLUTE", "", ".", "..", "a/b", "a\\b", "a\0b"],
+        ids=["parent", "absolute", "empty", "dot", "dot-dot", "slash", "backslash", "nul"],
+    )
+    def test_name_that_leaves_the_output_directory_exits_one(
+        self, tmp_path, capsys, monkeypatch, command, name
+    ):
+        monkeypatch.setattr(cli, "run_scenario", None)  # must not be reached
+        name = name.replace("ABSOLUTE", str(tmp_path / "absolute"))
+        text = FIG1_FILE.replace("name = fig1\n", f"name = {name}\n") + "mc_trials = 1000\n"
+        path = write(tmp_path, text)
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--scenario", str(path), "-o", str(tmp_path / "out" / "o")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: invalid scenario: name must be one non-empty path component"
+        )
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_alt_location_is_not_a_key(self, tmp_path, capsys):
         # alternative-location ROCs are not part of a run
         line = len(FIG1_FILE.splitlines()) + 1

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -378,3 +379,16 @@ class TestRatePair:
 @given(st.floats(-8.0, 8.0))
 def test_q_function_complement(x):
     assert q_function(-x) == pytest.approx(1.0 - q_function(x), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.float64(0.7), np.linspace(-40.0, 40.0, 9), np.linspace(-6.0, 6.0, 8).reshape(2, 4)],
+    ids=["0-d", "k", "2xk"],
+)
+def test_q_function_is_erfc_element_for_element(x):
+    got = q_function(x)
+    assert np.shape(got) == np.shape(x) and np.asarray(got).dtype == float
+    assert np.ndim(x) or isinstance(got, float)  # a 0-d input gives a scalar
+    want = [0.5 * math.erfc(v / math.sqrt(2.0)) for v in np.ravel(x).tolist()]
+    assert np.ravel(got).tolist() == want
