@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NetworkGeometry, ShadowingModel, _dot, _per_row, mean_vector
+from .channel import NetworkGeometry, ShadowingModel, mean_vector
+from .channel import _POSITIVE, _dot, _per_row, _real
 
 __all__ = [
     "SearchError",
@@ -71,10 +72,8 @@ class SearchConfig:
     coarse_grid_step: float = 25.0
 
     def __post_init__(self):
-        if not 0.0 < self.min_distance < np.inf:
-            raise SearchError("min_distance must be positive and finite")
-        if not 0.0 < self.coarse_grid_step < np.inf:
-            raise SearchError("coarse_grid_step must be positive and finite")
+        for name in ("min_distance", "coarse_grid_step"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, SearchError, _POSITIVE))
 
 
 def default_search_region(geometry: NetworkGeometry, min_distance: float) -> tuple:

@@ -104,33 +104,30 @@ class NetworkGeometry(_Stackable):
     path_loss_exponent: float
 
     def __post_init__(self):
-        bs = np.atleast_2d(np.asarray(self.bs_positions, dtype=float))
-        xc = np.asarray(self.claimed_location, dtype=float)
+        rule = "finite numbers", np.isfinite
+        bs = np.atleast_2d(_real(self.bs_positions, "bs_positions", GeometryError, rule, ...))
+        xc = _real(self.claimed_location, "claimed_location", GeometryError, rule, ...)
         if bs.ndim not in (2, 3) or bs.shape[-1] != 2:
             raise GeometryError("bs_positions must be an (N, 2) or (T, N, 2) array")
         if xc.shape != bs.shape[:-2] + (2,):
             if bs.ndim == 3 or xc.size != 2:
                 raise GeometryError("claimed_location must hold one 2-D point per geometry")
             xc = xc.reshape(2)
-        object.__setattr__(self, "bs_positions", bs)
-        object.__setattr__(self, "claimed_location", xc)
+        vars(self).update(bs_positions=bs, claimed_location=xc)
         if bs.shape[-2] < 2:
             raise GeometryError("at least two base stations are required")
         if not len(bs):  # one geometry has N >= 2 rows; a stack has T
             raise GeometryError("a geometry stack needs at least one geometry")
-        names = ("ref_power_db", "ref_distance_m", "path_loss_exponent")
-        if bs.ndim == 3:  # a stack holds each path-loss scalar per row, shape (T,)
-            try:
-                vars(self).update({n: np.full(len(bs), getattr(self, n), float) for n in names})
-            except ValueError as exc:
-                raise GeometryError("path-loss parameters must be floats or (T,) arrays") from exc
-        scalars = np.array([getattr(self, name) for name in names], dtype=float).reshape(3, -1)
-        if not (np.isfinite(bs).all() and np.isfinite(xc).all() and np.isfinite(scalars).all()):
-            raise GeometryError("coordinates and path-loss parameters must be finite")
-        lowest = scalars.min(axis=1)  # over the rows of a stack
-        for low, what in zip(lowest[1:], ("reference distance", "path loss exponent")):
-            if low <= 0:
-                raise GeometryError(f"{what} must be positive")
+        rows = bs.shape[:-2]  # () for one geometry, (T,) for a stack: a float holds for every row
+        for name, label, (text, test) in (
+            ("ref_power_db", "reference power", _FINITE),
+            ("ref_distance_m", "reference distance", _POSITIVE),
+            ("path_loss_exponent", "path loss exponent", _POSITIVE),
+        ):
+            value = getattr(self, name)
+            rule = text + " (floats or (T,) arrays for a stack)", test
+            value = _real(value, label, GeometryError, rule, float if np.isscalar(value) else rows)
+            vars(self)[name] = np.full(rows, value) if rows else value
         with np.errstate(over="ignore"):  # a distance that overflows is inf, not 0
             d = np.linalg.norm(bs[..., :, None, :] - bs[..., None, :, :], axis=-1)
         d[..., range(bs.shape[-2]), range(bs.shape[-2])] = np.inf
@@ -206,14 +203,20 @@ def mean_vector(geometry: NetworkGeometry, location) -> np.ndarray:
         bs = _per_row(bs, loc.ndim)
         row = (-1,) + (1,) * (loc.ndim - 1)  # row t's scalars meet its distances (T, ..., N)
         p0, d0, n = p0.reshape(row), d0.reshape(row), n.reshape(row)
-    dx = loc[..., 0, None] - bs[..., 0]
+    # p0 - 10 n log10(sqrt(dx*dx + dy*dy) / d0), bit-identical to
+    # np.linalg.norm over the coordinate axis, in place on one working array
+    dist = loc[..., 0, None] - bs[..., 0]
     dy = loc[..., 1, None] - bs[..., 1]
-    # bit-identical to np.linalg.norm over the coordinate axis, without its
-    # per-call overhead
-    dist = np.sqrt(dx * dx + dy * dy)
+    dist *= dist
+    dy *= dy
+    dist += dy
+    np.sqrt(dist, out=dist)
     if np.count_nonzero(dist == 0.0):
         raise GeometryError("location coincides with a base station")
-    return p0 - 10.0 * n * np.log10(dist / d0)
+    dist /= d0
+    np.log10(dist, out=dist)
+    dist *= 10.0 * n
+    return np.subtract(p0, dist, out=dist)
 
 
 def _finite_mean(geometry: NetworkGeometry, location) -> np.ndarray:
@@ -225,12 +228,41 @@ def _finite_mean(geometry: NetworkGeometry, location) -> np.ndarray:
     return mean
 
 
-def _shadowing_variance(sigma_db, error) -> float:
-    """``sigma_db ** 2``; raises ``error`` unless σ > 0 and σ² is a finite normal float."""
-    square = float(sigma_db) * float(sigma_db)  # inf on overflow, where ** raises
-    if not (sigma_db > 0.0 and np.finfo(float).tiny <= square < np.inf):
-        raise error(f"sigma_db must be positive with a finite, normal square, got {sigma_db!r}")
-    return sigma_db**2
+# The rules of _real: the text its messages print, and the test that every
+# value must pass.  σ's test takes a float: s * s is inf on overflow, where ** raises.
+_FINITE = "finite", np.isfinite
+_POSITIVE = "positive and finite", lambda x: (0.0 < x) & (x < np.inf)
+_NONNEGATIVE = "nonnegative and finite", lambda x: (0.0 <= x) & (x < np.inf)
+_COUNT = "a positive integer", _POSITIVE[1]
+_SEED = "a nonnegative integer", _NONNEGATIVE[1]
+_SIGMA = "positive with a finite, normal square", (
+    lambda s: 0.0 < s and np.finfo(float).tiny <= s * s < np.inf
+)
+
+
+def _real(value, field, error, rule=_FINITE, kind=float):
+    """``value`` checked by ``rule`` and converted to ``kind``: ``float``, ``int``
+    (a count or seed), or an array shape (``None`` matches any length, ``...``
+    any shape) for a float array.  Raises ``error`` as "<field> must be <rule>,
+    got <value!r>" for a bool, string, None or another form, or a failed test."""
+    text, test = rule
+    if kind is int:
+        ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        x = int(value) if ok else None
+    else:
+        shape = () if kind is float else kind
+        try:
+            x = np.asarray(value)
+        except ValueError:  # a ragged sequence
+            x = np.asarray(None)
+        ok = x.dtype.kind in "iuf" and (
+            shape is ...
+            or x.ndim == len(shape) and all(n in (None, m) for n, m in zip(shape, x.shape))
+        )
+        x = (float(x) if shape == () else np.asarray(x, dtype=float)) if ok else None
+    if not (ok and np.asarray(test(x)).all()):  # np.all costs 4x as much on a bool
+        raise error(f"{field} must be {text}, got {value!r}")
+    return x
 
 
 def _dot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -256,17 +288,17 @@ def build_covariance(
     ``correlation_distance == 0`` selects the exactly uncorrelated model
     (diagonal covariance) rather than evaluating the degenerate kernel limit.
     """
-    var = _shadowing_variance(sigma_db, CovarianceError)
-    if not 0.0 <= correlation_distance < np.inf:
-        raise CovarianceError("correlation_distance must be nonnegative and finite")
+    sigma = _real(sigma_db, "sigma_db", CovarianceError, _SIGMA)
+    var = sigma**2
+    dc = _real(correlation_distance, "correlation_distance", CovarianceError, _NONNEGATIVE)
     bs = geometry.bs_positions
     n = geometry.n_stations
-    if correlation_distance == 0.0:
+    if dc == 0.0:
         cov = var * np.eye(n)
     else:
         d = np.linalg.norm(bs[:, None, :] - bs[None, :, :], axis=-1)
         with np.errstate(over="ignore"):  # a tiny D_c overflows d / D_c to inf: exp(-inf) = 0
-            cov = var * np.exp(-(d / correlation_distance) * np.log(2.0))
+            cov = var * np.exp(-(d / dc) * np.log(2.0))
         np.fill_diagonal(cov, var)
     jitter = 0.0
     try:
@@ -288,8 +320,8 @@ def build_covariance(
     except np.linalg.LinAlgError as exc:
         raise CovarianceError("differenced covariance is not positive definite") from exc
     return ShadowingModel(
-        sigma_db=float(sigma_db),
-        correlation_distance=float(correlation_distance),
+        sigma_db=sigma,
+        correlation_distance=dc,
         covariance=cov,
         chol_lower=chol,
         whitener=np.linalg.inv(chol),

@@ -242,6 +242,8 @@ def exact_auc(separation: float) -> float:
 
 def default_threshold_grid(separation: float, n: int = 201) -> np.ndarray:
     """Log-threshold grid spanning roughly alpha, beta in [1e-9, 1 - 1e-9]."""
+    if not 0.0 < separation < np.inf:
+        raise DetectorError(f"separation must be positive and finite, got {separation!r}")
     half = 0.5 * separation + 6.0 * np.sqrt(separation)
     return np.linspace(-half, half, n)
 

@@ -9,38 +9,20 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .adversary import (
-    AttackStrategy,
-    SearchConfig,
-    SearchError,
-    _claim_distance,
-    _coarse_shape,
-    default_search_region,
-    kl_drss,
-    kl_rss,
-    kl_rss_minimized,
-    optimal_power_boost,
-    optimize_true_location,
-    refined_grid_cell,
-)
+from .adversary import AttackStrategy, SearchConfig, SearchError, default_search_region, kl_drss
+from .adversary import kl_rss, kl_rss_minimized, optimal_power_boost, optimize_true_location
+from .adversary import _claim_distance, _coarse_shape, refined_grid_cell
 from .channel import GeometryError, NetworkGeometry, ShadowingModel, build_covariance, mean_vector
-from .channel import _dot, _finite_mean, _shadowing_variance
-from .detector import (
-    DetectorSpec,
-    analytic_rates,
-    build_d_matrix,
-    default_threshold_grid,
-    drss_transform,
-    exact_auc,
-    roc_sweep,
-    roc_to_csv,
-)
-from .montecarlo import TrialPlan, _is_count, agreement_sigma, estimate_rate
+from .channel import _COUNT, _NONNEGATIVE, _POSITIVE, _SEED, _SIGMA, _dot, _finite_mean, _real
+from .detector import DetectorSpec, analytic_rates, build_d_matrix, default_threshold_grid
+from .detector import drss_transform, exact_auc, roc_sweep, roc_to_csv
+from .montecarlo import TrialPlan, agreement_sigma, estimate_rate
 
 __all__ = [
     "ScenarioError",
@@ -105,14 +87,17 @@ class AttackPolicy:
             raise ScenarioError("attack kind 'optimal' takes no true_location")
         if self.kind != "fixed" and self.power_boost_db is not None:
             raise ScenarioError(f"attack kind {self.kind!r} takes no power_boost_db")
-        if self.true_location is not None and not (
-            len(self.true_location) == 2 and all(map(math.isfinite, self.true_location))
-        ):
-            raise ScenarioError(
-                f"true_location must be two finite numbers, got {self.true_location!r}"
-            )
-        if self.power_boost_db is not None and not math.isfinite(self.power_boost_db):
-            raise ScenarioError(f"power_boost_db must be finite, got {self.power_boost_db!r}")
+        if self.true_location is not None:
+            rule = "two finite numbers", np.isfinite
+            loc = _real(self.true_location, "true_location", ScenarioError, rule, (2,))
+            vars(self)["true_location"] = tuple(loc.tolist())
+        if self.power_boost_db is not None:
+            boost = _real(self.power_boost_db, "power_boost_db", ScenarioError)
+            vars(self)["power_boost_db"] = boost
+
+
+# ln λ = ±inf is a legal operating point
+_THRESHOLDS = "at least two ln λ values, none NaN", lambda x: len(x) > 1 and ~np.isnan(x)
 
 
 @dataclass(frozen=True)
@@ -137,33 +122,31 @@ class Scenario:
 
     def __post_init__(self):
         # the name is the run's output subdirectory, so it must stay inside -o
-        if self.name in ("", ".", "..") or not {"/", "\\", "\0"}.isdisjoint(self.name):
+        bad = not isinstance(self.name, str) or self.name in ("", ".", "..")
+        if bad or not {"/", "\\", "\0"}.isdisjoint(self.name):
             raise ScenarioError(
                 "name must be one non-empty path component (no / or \\, not . or .., "
                 f"no NUL), got {self.name!r}"
             )
-        _shadowing_variance(self.sigma_db, ScenarioError)
-        if not 0.0 <= self.correlation_distance < math.inf:
+        if isinstance(self.modes, str) or not isinstance(self.modes, Sequence) or not self.modes:
             raise ScenarioError(
-                "correlation_distance must be nonnegative and finite, "
-                f"got {self.correlation_distance!r}"
+                f"modes must name at least one of rss, drss in a sequence, got {self.modes!r}"
             )
-        if not all(0.0 <= dc < math.inf for dc in self.dc_values or ()):
-            raise ScenarioError(f"dc_values must be nonnegative and finite, got {self.dc_values!r}")
-        if self.thresholds is not None and (
-            len(self.thresholds) < 2 or any(map(math.isnan, self.thresholds))
-        ):
-            raise ScenarioError(
-                f"thresholds must be at least two ln λ values, none NaN, got {self.thresholds!r}"
-            )
-        if not self.modes:
-            raise ScenarioError("modes must name at least one of rss, drss")
-        if not (_is_count(self.mc_trials) and self.mc_trials >= 1):
-            raise ScenarioError(f"mc_trials must be a positive integer, got {self.mc_trials!r}")
-        if not (_is_count(self.mc_seed) and self.mc_seed >= 0):
-            raise ScenarioError(f"mc_seed must be a nonnegative integer, got {self.mc_seed!r}")
         for mode in self.modes:
             _check_mode(mode)
+        for key, rule, kind in (  # see channel._real for the rules and forms
+            ("sigma_db", _SIGMA, float),
+            ("correlation_distance", _NONNEGATIVE, float),
+            ("mc_trials", _COUNT, int),
+            ("mc_seed", _SEED, int),
+            ("thresholds", _THRESHOLDS, (None,)),
+            ("dc_values", _NONNEGATIVE, (None,)),
+            ("r_values", _POSITIVE, (None,)),
+        ):
+            value = getattr(self, key)
+            if value is not None or kind != (None,):  # an unset sequence is None
+                value = _real(value, key, ScenarioError, rule, kind)
+                vars(self)[key] = tuple(value.tolist()) if kind == (None,) else value
         radii = [("min_distance", self.min_distance)]
         radii += [("r_values entry", r) for r in self.r_values or ()]
         for key, r in radii:
@@ -172,6 +155,7 @@ class Scenario:
                 _coarse_shape(default_search_region(self.geometry, r), self.coarse_grid_step, key)
             except SearchError as exc:
                 raise ScenarioError(f"invalid search configuration: {key} {r!r}: {exc}") from None
+        vars(self).update(vars(self.search_config()))  # min_distance and the step, as floats
         if (loc := self.attack.true_location) is not None:
             try:
                 _finite_mean(self.geometry, loc)
@@ -206,13 +190,7 @@ def deployment_geometry(
 ) -> NetworkGeometry:
     """Stations ``bs`` in the published deployment; every other value has its
     published default (claimed location, 1 m reference power, path-loss law)."""
-    return NetworkGeometry(
-        bs_positions=np.asarray(bs, dtype=float),
-        claimed_location=np.asarray(claimed),
-        ref_power_db=ref_power_db,
-        ref_distance_m=ref_distance_m,
-        path_loss_exponent=path_loss_exponent,
-    )
+    return NetworkGeometry(bs, claimed, ref_power_db, ref_distance_m, path_loss_exponent)
 
 
 def builtin_scenarios() -> list[Scenario]:
@@ -268,17 +246,13 @@ def resolve_attack(
     policy = scenario.attack
     if policy.kind == "optimal":
         return optimize_true_location(mode, scenario.search_config(), geometry, model)
-    x_t = policy.true_location
-    boost = 0.0
+    x_t = policy.true_location  # a tuple of floats, as is any boost
     if mode == "drss":
-        kl = kl_drss(x_t, geometry, model)
-    else:
-        if policy.kind == "fixed-location":
-            boost = optimal_power_boost(geometry.claimed_mean, mean_vector(geometry, x_t), model)
-        else:
-            boost = float(policy.power_boost_db)
-        kl = kl_rss(boost, x_t, geometry, model)
-    return AttackStrategy(tuple(x_t), boost, float(kl), power_boost_relevant=mode == "rss")
+        return AttackStrategy(x_t, 0.0, kl_drss(x_t, geometry, model), power_boost_relevant=False)
+    boost = policy.power_boost_db
+    if policy.kind == "fixed-location":
+        boost = optimal_power_boost(geometry.claimed_mean, mean_vector(geometry, x_t), model)
+    return AttackStrategy(x_t, boost, kl_rss(boost, x_t, geometry, model))
 
 
 def detector_spec(
@@ -535,10 +509,8 @@ def verify_theorems(trials: int = 100, seed: int = 1) -> VerificationReport:
     and the six suboptimal boosts as a (T, 6) stack), two ``analytic_rates``
     calls and one white model; covariances are built per geometry.
     """
-    if not (_is_count(trials) and trials >= 1):
-        raise ScenarioError(f"trials must be a positive integer, got {trials!r}")
-    if not (_is_count(seed) and seed >= 0):
-        raise ScenarioError(f"seed must be a nonnegative integer, got {seed!r}")
+    trials = _real(trials, "trials", ScenarioError, _COUNT, int)
+    seed = _real(seed, "seed", ScenarioError, _SEED, int)
 
     kl_identity = 0.0
     rate_identity = 0.0

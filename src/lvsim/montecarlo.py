@@ -23,6 +23,7 @@ import numpy as np
 
 from .adversary import AttackStrategy
 from .channel import NetworkGeometry, ShadowingModel, mean_vector, sample_observations
+from .channel import _COUNT, _SEED, _real
 from .detector import DetectorSpec, decide, drss_transform
 
 __all__ = [
@@ -53,11 +54,6 @@ def _stream(seed) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seed))
 
 
-def _is_count(value) -> bool:
-    """True for a Python or numpy integer; bools and floats are not counts."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 class PlanError(ValueError):
     """Inconsistent trial plan (e.g. H1 without an attack strategy)."""
 
@@ -72,10 +68,10 @@ class TrialPlan:
     strategy: AttackStrategy | None = None
 
     def __post_init__(self):
-        if not _is_count(self.n_trials):
-            raise PlanError(f"n_trials must be an integer, got {self.n_trials!r}")
-        if self.n_trials < 1:
-            raise PlanError("n_trials must be at least 1")
+        vars(self)["n_trials"] = _real(self.n_trials, "n_trials", PlanError, _COUNT, int)
+        if not isinstance(self.seed, np.random.SeedSequence):
+            rule = _SEED[0] + " or a SeedSequence", _SEED[1]
+            vars(self)["seed"] = _real(self.seed, "seed", PlanError, rule, int)
         if self.hypothesis not in ("h0", "h1"):
             raise PlanError(f"unknown hypothesis: {self.hypothesis!r}")
         if self.hypothesis == "h1" and self.strategy is None:

@@ -54,6 +54,19 @@ class TestMeanVector:
             rtol=1e-13,
         )
 
+    def test_result_is_fresh_and_inputs_untouched(self):
+        stack = make_geometry(np.stack([FIG1_BS] * 2), claimed=[CLAIMED] * 2, gamma=[3.0, 2.5])
+        inputs = [stack.bs_positions, stack.ref_power_db, stack.ref_distance_m]
+        inputs += [stack.path_loss_exponent]
+        before = [a.copy() for a in inputs]
+        pts = np.array([[[550.0, 5.0]], [[0.0, 100.0]]])
+        got = mean_vector(stack, pts)
+        assert got.shape == (2, 1, 3) and got.flags.owndata
+        np.testing.assert_array_equal(pts, [[[550.0, 5.0]], [[0.0, 100.0]]])
+        for a, b in zip(inputs, before):
+            np.testing.assert_array_equal(a, b)
+        assert not any(np.shares_memory(got, a) for a in inputs + [pts])
+
     def test_vectorized_matches_scalar(self, fig1_geometry):
         pts = np.array([[550.0, 5.0], [0.0, 100.0], [-300.0, -40.0]])
         batch = mean_vector(fig1_geometry, pts)

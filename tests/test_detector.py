@@ -283,6 +283,12 @@ class TestRocSweep:
         curve = roc_sweep(spec, default_threshold_grid(spec.separation))
         assert curve.auc >= 0.5
 
+    @pytest.mark.parametrize("separation", [-1.0, 0.0, math.nan, math.inf])
+    def test_threshold_grid_needs_a_positive_finite_separation(self, separation):
+        # a negative or NaN separation gave an all-NaN grid and a sqrt RuntimeWarning
+        with pytest.raises(DetectorError, match=f"^separation .*, got {separation!r}$"):
+            default_threshold_grid(separation)
+
     def test_vanishing_separation_approaches_diagonal(self, fig1_model):
         tiny = make_spec(fig1_model.covariance, mu1=np.full(3, 1e-6))
         curve = roc_sweep(tiny, default_threshold_grid(tiny.separation))
