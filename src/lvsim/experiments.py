@@ -46,9 +46,6 @@ __all__ = [
 
 MC_LOG_THRESHOLDS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
-# Spawn keys of the per-mode H1 Monte Carlo streams; H0 uses key 0.
-_H1_STREAM_KEYS = {"rss": 1, "drss": 2}
-
 # Claimed location shared by every published configuration.
 _CLAIMED = (50.0, 5.0)
 
@@ -349,42 +346,45 @@ def run_scenario(scenario: Scenario, outdir: str | Path | None = None) -> Scenar
     """Full pipeline for one scenario: attack, analytic ROC, MC validation at
     ``MC_LOG_THRESHOLDS``, and the sweep stage.
 
-    The Monte Carlo check draws once per distribution: one H0 set scored by
-    each mode's spec at every ln λ, since RSS and DRSS see the same
-    observations under H0, and one H1 set per mode, each drawn in
-    station-contiguous blocks. Each set's SFC64 stream is keyed by
-    ``SeedSequence(mc_seed, spawn_key=(k,))`` with k = 0 for H0, 1 for RSS
-    H1 and 2 for DRSS H1, so a mode's records do not depend on which other
-    modes run.
+    The Monte Carlo check scores every mode's spec at every ln λ on one set
+    of draws per distribution: one H0 set, and one H1 set per attacker true
+    location, drawn at its unboosted mean. RSS scores the H1 set shifted by
+    its boost; DRSS scores its difference, which the boost cannot reach.
+    Each set's SFC64 stream is ``SeedSequence(mc_seed, spawn_key=(k,))``,
+    k = 0 for H0 and 1 for every H1 set, so a mode's records do not depend
+    on which other modes run.
     """
     geometry = scenario.geometry
     model = scenario.shadowing()
     analysis = {mode: roc_stage(scenario, mode, model) for mode in scenario.modes}
 
-    def plan(hypothesis, key, strategy=None):
-        return TrialPlan(
-            n_trials=scenario.mc_trials,
-            seed=np.random.SeedSequence(scenario.mc_seed, spawn_key=(key,)),
-            hypothesis=hypothesis,
-            strategy=strategy,
-        )
+    def score(hypothesis, modes, strategy=None):
+        """``modes``' empirical rates at every ln λ, all on one set of draws."""
+        key = ("h0", "h1").index(hypothesis)
+        seed = np.random.SeedSequence(scenario.mc_seed, spawn_key=(key,))
+        plan = TrialPlan(scenario.mc_trials, seed, hypothesis, strategy)
+        specs = [analysis[mode][1] for mode in modes]
+        rates = estimate_rate(plan, specs, geometry, model, MC_LOG_THRESHOLDS)
+        k = len(MC_LOG_THRESHOLDS)  # mode by mode, then threshold by threshold
+        return {mode: rates[i * k : (i + 1) * k] for i, mode in enumerate(modes)}
 
-    # H0 rates come back mode by mode, then by threshold.
-    all_specs = tuple(spec for _, spec, _ in analysis.values())
-    h0_rates = iter(estimate_rate(plan("h0", 0), all_specs, geometry, model, MC_LOG_THRESHOLDS))
+    empirical = {"h0": score("h0", scenario.modes), "h1": {}}
+    locations = {}
+    for mode, (strategy, _, _) in analysis.items():
+        locations.setdefault(strategy.true_location, []).append(mode)
+    for modes in locations.values():
+        # the RSS strategy carries the boost the RSS spec scores; DRSS cannot see it
+        strategy = analysis["rss" if "rss" in modes else modes[0]][0]
+        empirical["h1"].update(score("h1", modes, strategy))
+
     mode_results = {}
     for mode, (strategy, spec, curve) in analysis.items():
-        h1_plan = plan("h1", _H1_STREAM_KEYS[mode], strategy)
-        h1_rates = estimate_rate(h1_plan, (spec,), geometry, model, MC_LOG_THRESHOLDS)
-        records = []
         rates = analytic_rates(spec, MC_LOG_THRESHOLDS)
-        for lam, alpha, beta, h1_emp in zip(
-            MC_LOG_THRESHOLDS, rates.alpha.tolist(), rates.beta.tolist(), h1_rates
-        ):
-            for hyp, emp, analytic in (
-                ("h0", next(h0_rates), alpha),
-                ("h1", h1_emp, beta),
-            ):
+        analytic = {"h0": rates.alpha.tolist(), "h1": rates.beta.tolist()}
+        records = []
+        for i, lam in enumerate(MC_LOG_THRESHOLDS):
+            for hyp in ("h0", "h1"):
+                emp = empirical[hyp][mode][i]
                 records.append(
                     {
                         "scenario": scenario.name,
@@ -394,16 +394,11 @@ def run_scenario(scenario: Scenario, outdir: str | Path | None = None) -> Scenar
                         "n": emp.n_trials,
                         "rate": emp.rate,
                         "stderr": emp.stderr,
-                        "analytic": analytic,
-                        "sigma": agreement_sigma(emp, analytic),
+                        "analytic": analytic[hyp][i],
+                        "sigma": agreement_sigma(emp, analytic[hyp][i]),
                     }
                 )
-        mode_results[mode] = ModeResult(
-            mode=mode,
-            strategy=strategy,
-            roc=curve,
-            mc_records=tuple(records),
-        )
+        mode_results[mode] = ModeResult(mode, strategy, curve, tuple(records))
 
     result = ScenarioResult(scenario=scenario, modes=mode_results, sweep=optimal_auc(scenario))
     if outdir is not None:

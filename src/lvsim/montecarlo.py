@@ -1,17 +1,18 @@
 """Monte Carlo estimation of detector rates.
 
 Serves as the independent empirical check on every closed-form rate.
-A plan names one distribution of observations (H0, or H1 under one attack
-strategy). ``estimate_rate`` draws one set of observations from it and
-scores every detector spec on that same set: all thresholds from one
-statistic per spec, and both modes where they share the distribution
-(common random numbers). Observations come in station-contiguous blocks,
-each station's draws adjacent in memory, so the mean shift, the DRSS
-difference and the statistic run along the trials. Each plan samples from
-its own SFC64 stream keyed by its seed, an int or a ``SeedSequence``;
-``run_scenario`` keys each distribution's stream by the scenario seed and
-a per-distribution spawn key, so a plan reproduces the same counts
-regardless of which other plans run.
+A plan names one distribution of observations: H0, or H1 with the attacker
+at one true location. ``estimate_rate`` draws one set of observations from
+it and scores every detector spec on that same set (common random
+numbers), all thresholds from one statistic per spec. H1 is drawn at the
+unboosted mean: RSS specs score it shifted by the power boost, DRSS specs
+its difference, which no common boost reaches. Observations come in
+station-contiguous blocks, each station's draws adjacent in memory, so the
+shift, the difference and the statistic run along the trials. Each plan
+samples from its own SFC64 stream keyed by its seed, an int or a
+``SeedSequence``; ``run_scenario`` keys H0's stream by the scenario seed and
+spawn key 0 and every H1 stream by spawn key 1, so a mode's counts do not
+depend on which other modes run.
 """
 
 from __future__ import annotations
@@ -87,13 +88,6 @@ class EmpiricalRate:
     n_trials: int
 
 
-def _rss_mean(plan: TrialPlan, geometry: NetworkGeometry) -> np.ndarray:
-    if plan.hypothesis == "h0":
-        return geometry.claimed_mean
-    strat = plan.strategy
-    return strat.power_boost_db + mean_vector(geometry, strat.true_location)
-
-
 def estimate_rate(
     plan: TrialPlan,
     specs: Sequence[DetectorSpec],
@@ -103,25 +97,32 @@ def estimate_rate(
 ) -> tuple[EmpiricalRate, ...]:
     """Fraction of trials on which each spec accepts H1 at each ln λ.
 
-    Draws ``plan.n_trials`` RSS observations once and scores every spec on
-    them, one statistic per spec for all thresholds; DRSS specs see the
-    differenced observations. A scalar ln λ counts as one threshold.
-    Returns one rate per (spec, threshold), spec by spec, and draws
-    nothing when there is no spec or no threshold. Observations are
-    drawn and scored in blocks of ``_BLOCK_ROWS`` rows, so no
-    (n_trials, N) array is ever held.
+    Draws ``plan.n_trials`` RSS observations once, H1 at the strategy's
+    unboosted mean, and scores every spec on them, one statistic per spec
+    for all thresholds: RSS specs add the strategy's power boost, DRSS
+    specs take the difference, which the boost cannot change. ln λ of any
+    shape is read in C order, a scalar as one threshold. Returns one rate
+    per (spec, threshold), spec by spec, and draws nothing when there is no
+    spec or no threshold. Blocks of ``_BLOCK_ROWS`` rows are drawn and
+    scored in turn, so no (n_trials, N) array is ever held.
     """
-    thresholds = np.atleast_1d(np.asarray(log_thresholds, dtype=float))
+    thresholds = np.ravel(np.asarray(log_thresholds, dtype=float))
     if not specs or not thresholds.size:
         return ()
     n = plan.n_trials
-    mean = _rss_mean(plan, geometry)
+    if plan.hypothesis == "h0":
+        mean, boost = geometry.claimed_mean, 0.0
+    else:
+        mean = mean_vector(geometry, plan.strategy.true_location)
+        boost = plan.strategy.power_boost_db
     rng = _stream(plan.seed)
     drss = any(spec.mode == "drss" for spec in specs)
     counts = np.zeros((len(specs), thresholds.size), dtype=np.int64)
     for start in range(0, n, _BLOCK_ROWS):
         y = sample_observations(model, mean, rng, min(_BLOCK_ROWS, n - start))
         d = drss_transform(y) if drss else None
+        if boost:
+            y += boost
         for spec, count in zip(specs, counts):
             accepted = decide(spec, d if spec.mode == "drss" else y, thresholds)
             count += [np.count_nonzero(run) for run in accepted.T]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lvsim.adversary import SearchConfig, kl_drss, kl_rss, kl_rss_minimized
+from lvsim.channel import mean_vector
 import lvsim.experiments as experiments
 from lvsim.experiments import (
     AttackPolicy,
@@ -372,8 +373,8 @@ class TestRunScenario:
 
         monkeypatch.setattr(lvsim.montecarlo, "sample_observations", counting)
         run_scenario(replace(builtin_scenario("fig3"), mc_trials=2000))
-        # one H0 set shared by both modes, one H1 set per mode
-        assert len(calls) == 3
+        # one H0 set and one H1 set, each shared by both modes
+        assert len(calls) == 2
 
     def test_blocked_draws_cover_each_distribution_once(self, monkeypatch):
         import lvsim.montecarlo
@@ -389,14 +390,56 @@ class TestRunScenario:
         monkeypatch.setattr(lvsim.montecarlo, "sample_observations", counting)
         trials = 2 * lvsim.montecarlo._BLOCK_ROWS + 17
         run_scenario(replace(builtin_scenario("fig3"), mc_trials=trials))
-        # H0 and one H1 mean per mode, each drawn mc_trials rows in all
-        assert sorted(rows.values()) == [trials] * 3
+        # H0's mean and the attacker's unboosted mean, each drawn mc_trials rows in all
+        assert sorted(rows.values()) == [trials] * 2
 
     def test_mode_records_independent_of_other_modes(self):
         scenario = replace(builtin_scenario("fig3"), mc_trials=2000)
         both = run_scenario(replace(scenario, modes=("rss", "drss")))
         alone = run_scenario(replace(scenario, modes=("drss",)))
         assert alone.modes["drss"].mc_records == both.modes["drss"].mc_records
+
+    def test_rss_records_independent_of_other_modes(self):
+        scenario = replace(builtin_scenario("fig3"), mc_trials=2000)
+        both = run_scenario(replace(scenario, modes=("rss", "drss")))
+        alone = run_scenario(replace(scenario, modes=("rss",)))
+        assert alone.modes["rss"].mc_records == both.modes["rss"].mc_records
+
+    def test_one_h1_set_per_true_location(self, monkeypatch):
+        import lvsim.montecarlo
+
+        scenario = replace(builtin_scenario("fig3"), mc_trials=2000)
+        moved = replace(scenario, attack=AttackPolicy("fixed-location", TestResolveAttack.X_T))
+        real = experiments.resolve_attack
+
+        def resolve(s, mode, model):  # DRSS's attacker stands elsewhere
+            return real(moved if mode == "drss" else s, mode, model)
+
+        monkeypatch.setattr(experiments, "resolve_attack", resolve)
+        draws = []
+        stream = lvsim.montecarlo._stream
+        draw = lvsim.montecarlo.sample_observations
+
+        def keyed_stream(seed):
+            draws.append([seed.spawn_key])
+            return stream(seed)
+
+        def sampling(model, mean, rng, n):
+            draws[-1].append(np.asarray(mean).tobytes())
+            return draw(model, mean, rng, n)
+
+        monkeypatch.setattr(lvsim.montecarlo, "_stream", keyed_stream)
+        monkeypatch.setattr(lvsim.montecarlo, "sample_observations", sampling)
+        both = run_scenario(scenario)
+        geometry = scenario.geometry
+        locations = [both.modes[mode].strategy.true_location for mode in ("rss", "drss")]
+        assert locations[0] != locations[1] == TestResolveAttack.X_T
+        h1_means = [mean_vector(geometry, loc).tobytes() for loc in locations]
+        h0_mean = geometry.claimed_mean.tobytes()
+        assert draws == [[(0,), h0_mean], [(1,), h1_means[0]], [(1,), h1_means[1]]]
+        for mode in ("rss", "drss"):
+            alone = run_scenario(replace(scenario, modes=(mode,)))
+            assert alone.modes[mode].mc_records == both.modes[mode].mc_records
 
     def test_worst_sigma_spans_every_mode(self, fig3_result):
         sigmas = [rec["sigma"] for mr in fig3_result.modes.values() for rec in mr.mc_records]

@@ -12,8 +12,10 @@ from lvsim.experiments import (
     MC_LOG_THRESHOLDS,
     AttackPolicy,
     builtin_scenario,
+    builtin_scenarios,
     detector_spec,
     resolve_attack,
+    run_scenario,
 )
 from lvsim.montecarlo import (
     _BLOCK_ROWS,
@@ -46,17 +48,17 @@ def fig2_specs(fig2_setup):
 
 
 def unblocked_rates(plan, specs, geometry, model, log_thresholds):
-    """Reference: all rows in one draw, each threshold compared on its own."""
-    if plan.hypothesis == "h0":
-        mean = geometry.claimed_mean
-    else:
-        strategy = plan.strategy
-        mean = strategy.power_boost_db + mean_vector(geometry, strategy.true_location)
+    """Reference: all rows in one draw, each threshold compared on its own.
+    H1 rows are drawn at the unboosted mean; RSS scores them boosted."""
+    mean, boost = geometry.claimed_mean, 0.0
+    if plan.hypothesis == "h1":
+        mean = mean_vector(geometry, plan.strategy.true_location)
+        boost = plan.strategy.power_boost_db
     rng = _stream(plan.seed)
     y = sample_observations(model, mean, rng, plan.n_trials)
     rates = []
     for spec in specs:
-        stat = linear_statistic(spec, drss_transform(y) if spec.mode == "drss" else y)
+        stat = linear_statistic(spec, drss_transform(y) if spec.mode == "drss" else y + boost)
         for lam in log_thresholds:
             accepted = np.count_nonzero(stat >= spec.statistic_threshold(lam))
             rates.append(accepted / plan.n_trials)
@@ -187,6 +189,21 @@ class TestEstimateRate:
         with pytest.raises(DetectorError, match="ln λ is NaN"):
             estimate_rate(plan, (spec,), scenario.geometry, model, lam)
 
+    def test_threshold_array_read_in_c_order(self, fig2_setup, fig2_specs):
+        scenario, model, strategy = fig2_setup
+        specs = tuple(spec for _, spec in fig2_specs.values())
+        grid = np.array([[-1.0, 0.0], [1.5, 3.0]])
+        for plan in (
+            TrialPlan(5000, seed=9, hypothesis="h0"),
+            TrialPlan(5000, seed=10, hypothesis="h1", strategy=strategy),
+        ):
+            flat = estimate_rate(plan, specs, scenario.geometry, model, grid.ravel())
+            assert len(flat) == len(specs) * grid.size
+            for lams in (grid, grid[None], grid.T.copy().T):
+                assert estimate_rate(plan, specs, scenario.geometry, model, lams) == flat
+            row = estimate_rate(plan, specs, scenario.geometry, model, grid[:1])
+            assert row == flat[:2] + flat[4:6]
+
     def test_h1_without_strategy_rejected(self):
         with pytest.raises(PlanError):
             TrialPlan(100, seed=0, hypothesis="h1")
@@ -237,3 +254,43 @@ class TestAgreementSigma:
 
         emp = EmpiricalRate(rate=0.5, stderr=0.0016, n_trials=100_000)
         assert agreement_sigma(emp, 0.4) > 3.89
+
+
+# A draw whose RSS statistic lies closer than this to its threshold, relative
+# to max(1, |threshold|), may be decided differently by rounding alone: the
+# RSS direction and M^T times the DRSS one agree to about 1e-14 relative.
+_DECISION_ROUNDING = 1e-9
+
+
+def test_rss_and_drss_decide_alike_on_every_shared_draw(monkeypatch):
+    # C2 and C3 per observation: at the matched boost both detectors compute
+    # one log-likelihood ratio, so on the registry's shared H0 and H1 sets, at
+    # full mc_trials, their decisions differ on no draw at any ln λ
+    decisions, hypothesis = [], []
+    stream, decide_real = lvsim.montecarlo._stream, lvsim.montecarlo.decide
+
+    def keyed_stream(seed):
+        hypothesis[:] = [("h0", "h1")[seed.spawn_key[0]]]
+        return stream(seed)
+
+    def recording(spec, obs, log_threshold):
+        accepted = decide_real(spec, obs, log_threshold)
+        thr = spec.statistic_threshold(np.asarray(log_threshold))
+        margin = np.abs(linear_statistic(spec, obs)[:, None] - thr) / np.maximum(1.0, np.abs(thr))
+        decisions.append((hypothesis[0], spec.mode, accepted, margin))
+        return accepted
+
+    monkeypatch.setattr(lvsim.montecarlo, "_stream", keyed_stream)
+    monkeypatch.setattr(lvsim.montecarlo, "decide", recording)
+    for scenario in builtin_scenarios():
+        decisions.clear()
+        run_scenario(scenario)
+        # per block, the RSS spec then the DRSS spec score the same draws
+        assert [d[:2] for d in decisions[1::2]] == [(h, "drss") for h, _, *_ in decisions[::2]]
+        assert {d[:2] for d in decisions[::2]} == {("h0", "rss"), ("h1", "rss")}
+        for (hyp, _, rss, margin), (_, _, drss, _) in zip(decisions[::2], decisions[1::2]):
+            assert rss.shape == (len(rss), len(MC_LOG_THRESHOLDS))
+            differ = rss != drss
+            assert not np.any(differ & (margin > _DECISION_ROUNDING)), (scenario.name, hyp)
+        h1_draws = sum(len(d[2]) for d in decisions[::2] if d[0] == "h1")
+        assert h1_draws == scenario.mc_trials == 100_000
